@@ -3,7 +3,7 @@
 from .adversary import AttackConfig, RobustLossConfig, evaluate, fgsm, pgd, robust_loss
 from .config import RunConfig, config_from_dict, parse_config_file
 from .data import Dataset, ingest, synthetic_blobs
-from .network import Network, LayerSpec, build_network, count_preserved, flops, masked_forward
+from .network import Network, LayerSpec, build_network, count_preserved, flops
 from .optim import CosineSchedule, SgdState, sgd_step
 from .pipeline import run_all, stage_finetune, stage_pretrain, stage_prune
 from .pruning import (
@@ -18,7 +18,6 @@ from .pruning import (
     init_rate,
     init_scores_channel,
     init_scores_weight,
-    percentile_threshold,
     prune_epoch,
     ste_rate_grad,
     ste_score_grad,
@@ -32,6 +31,6 @@ from .strategies import (
     measure_strategy,
     uniform_strategy,
 )
-from .tensor import Tensor, backward, forward_op, no_grad, scoped_tape
+from .tensor import Tensor, backward, no_grad, scoped_tape
 
 __version__ = "0.1.0"

@@ -18,6 +18,10 @@ EVAL_ATTACK_SEED = 20230817
 LOSS_KINDS = ("pgd-at", "trades")
 
 
+class DivergenceError(RuntimeError):
+    """Training loss became non-finite; maps to CLI exit code 3."""
+
+
 @dataclass
 class AttackConfig:
     epsilon: float
@@ -134,6 +138,21 @@ def robust_loss(net: Network, x: np.ndarray, y: np.ndarray,
         T.scale(T.kl_divergence(logits_nat, logits_adv), loss_cfg.beta),
     )
     return loss, x_adv
+
+
+def robust_step(net: Network, x: np.ndarray, y: np.ndarray, loss_cfg: RobustLossConfig,
+                attack_cfg: AttackConfig, rng: np.random.Generator, where: str) -> float:
+    """Robust loss of one batch and its backward pass; the gradients land on the tensors.
+
+    Raises DivergenceError, before any gradient is written, if the loss is
+    not finite.
+    """
+    with T.scoped_tape():
+        loss, _ = robust_loss(net, x, y, loss_cfg, attack_cfg, rng)
+        if not np.isfinite(loss.item()):
+            raise DivergenceError(f"{where}: loss diverged")
+        T.backward(loss)
+    return loss.item()
 
 
 @dataclass

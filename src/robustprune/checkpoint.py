@@ -2,8 +2,8 @@
 
 Layout: a JSON ``meta`` entry (architecture, stage tag, seed, config hash,
 RNG state, layer names) plus per-layer float64 arrays ``theta_i``,
-``scores_i``, ``quota_i``, ``mask_i`` and optional optimizer velocity
-arrays. Loading rebuilds the network and restores every array bit-exactly.
+``scores_i``, ``quota_i`` and ``mask_i``. Loading rebuilds the network and
+restores every array bit-exactly; other arrays in the file are ignored.
 """
 
 from __future__ import annotations
@@ -51,19 +51,9 @@ class Checkpoint:
                 layer.quota = Tensor(self.arrays[f"quota_{i}"].copy())
         return net
 
-    def optimizer_velocity(self, name: str) -> list[np.ndarray] | None:
-        keys = sorted(
-            (k for k in self.arrays if k.startswith(f"vel_{name}_")),
-            key=lambda k: int(k.rsplit("_", 1)[1]),
-        )
-        if not keys:
-            return None
-        return [self.arrays[k].copy() for k in keys]
-
 
 def save_checkpoint(path, net: Network, stage: str, seed: int, config_hash: str,
-                    rng_state: dict | None = None,
-                    velocities: dict[str, list[np.ndarray]] | None = None) -> None:
+                    rng_state: dict | None = None) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
         "arch": net.arch,
@@ -83,9 +73,6 @@ def save_checkpoint(path, net: Network, stage: str, seed: int, config_hash: str,
             arrays[f"scores_{i}"] = layer.scores.values
         if layer.quota is not None:
             arrays[f"quota_{i}"] = layer.quota.values
-    for name, vel in (velocities or {}).items():
-        for i, v in enumerate(vel):
-            arrays[f"vel_{name}_{i}"] = v
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 

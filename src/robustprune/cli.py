@@ -7,14 +7,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .adversary import AttackConfig, evaluate, metrics_to_csv
-from .checkpoint import load_checkpoint
-from .config import ConfigError, config_from_dict, parse_config_file
+from .adversary import LOSS_KINDS, evaluate, metrics_to_csv
+from .config import ConfigError, RunConfig, config_from_dict, parse_config_file, set_key
 from .data import DataFormatError, ingest
 from .pipeline import (
     DivergenceError,
@@ -28,6 +26,7 @@ from .pipeline import (
     weight_histograms,
     write_summary,
 )
+from .pruning import BUDGETS, GRANULARITIES
 from .strategies import (
     StrategyTable,
     compare_tables,
@@ -43,58 +42,45 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
+# Override flags and the config keys they set; types come from the defaults.
+OVERRIDES = {
+    "--arch": "arch",
+    "--method": "method",
+    "--k-t": "compression.k_t",
+    "--k-init": "compression.k_init",
+    "--gamma-step": "compression.gamma_step",
+    "--granularity": "compression.granularity",
+    "--budget": "compression.budget",
+    "--epochs-pretrain": "stages.pretrain_epochs",
+    "--epochs-prune": "stages.prune_epochs",
+    "--epochs-finetune": "stages.finetune_epochs",
+    "--batch-size": "batch_size",
+    "--epsilon": "attack.epsilon",
+    "--attack-step": "attack.step_size",
+    "--attack-iters": "attack.iters",
+    "--loss": "loss.kind",
+    "--beta": "loss.beta",
+}
+CHOICES = {"compression.granularity": GRANULARITIES, "compression.budget": BUDGETS,
+           "loss.kind": LOSS_KINDS}
+
+
 def _add_common(p: argparse.ArgumentParser, seed_required: bool = False) -> None:
     p.add_argument("--config", type=Path, help="flat key-value config file")
     p.add_argument("--seed", type=int, required=seed_required, help="run seed")
     p.add_argument("--out", type=Path, default=Path("runs/out"), help="output directory")
-    p.add_argument("--arch", help="mlp-small | conv-small | resnet-tiny")
-    p.add_argument("--method", help="harp | rates-only | scores-only")
-    p.add_argument("--k-t", type=float, dest="k_t", help="target compression rate")
-    p.add_argument("--k-init", type=float, dest="k_init")
-    p.add_argument("--gamma-step", type=float, dest="gamma_step")
-    p.add_argument("--granularity", choices=["weight", "channel"])
-    p.add_argument("--budget", choices=["param-count", "flops"])
-    p.add_argument("--epochs-pretrain", type=int)
-    p.add_argument("--epochs-prune", type=int)
-    p.add_argument("--epochs-finetune", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--attack-step", type=float)
-    p.add_argument("--attack-iters", type=int)
-    p.add_argument("--loss", dest="loss_kind", choices=["pgd-at", "trades"])
-    p.add_argument("--beta", type=float)
+    defaults = RunConfig(seed=0).to_dict()
+    for flag, key in OVERRIDES.items():
+        default = functools.reduce(dict.get, key.split("."), defaults)
+        p.add_argument(flag, dest=key, type=type(default), choices=CHOICES.get(key),
+                       help=f"set config key {key}")
 
 
 def _build_config(args):
     tree = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "arch": args.arch, "method": args.method, "batch_size": args.batch_size,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            tree[key] = val
-    comp = tree.setdefault("compression", {})
-    for key, val in (("k_t", args.k_t), ("k_init", args.k_init),
-                     ("gamma_step", args.gamma_step), ("granularity", args.granularity),
-                     ("budget", args.budget)):
-        if val is not None:
-            comp[key] = val
-    stages = tree.setdefault("stages", {})
-    for key, val in (("pretrain_epochs", args.epochs_pretrain),
-                     ("prune_epochs", args.epochs_prune),
-                     ("finetune_epochs", args.epochs_finetune)):
-        if val is not None:
-            stages[key] = val
-    attack = tree.setdefault("attack", {})
-    for key, val in (("epsilon", args.epsilon), ("step_size", args.attack_step),
-                     ("iters", args.attack_iters)):
-        if val is not None:
-            attack[key] = val
-    loss = tree.setdefault("loss", {})
-    if args.loss_kind is not None:
-        loss["kind"] = args.loss_kind
-    if args.beta is not None:
-        loss["beta"] = args.beta
+    for key in OVERRIDES.values():
+        if getattr(args, key) is not None:
+            set_key(tree, key, getattr(args, key))
     return config_from_dict(tree, seed=args.seed)
 
 

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .adversary import AttackConfig, RobustLossConfig
+from .network import ARCHITECTURES
 from .pruning import CompressionConfig
 
 METHODS = ("harp", "rates-only", "scores-only")
-ARCHS = ("mlp-small", "conv-small", "resnet-tiny")
+STAGE_KEYS = ("pretrain_epochs", "prune_epochs", "finetune_epochs")
+OPT_NAMES = ("pretrain", "finetune", "scores", "rates")
+# dataset keys without a default: the data files of the csv and idx kinds
+DATASET_FILE_KEYS = ("path", "images", "labels")
 
 
 class ConfigError(ValueError):
@@ -59,11 +63,11 @@ class RunConfig:
     opt_rates: OptConfig = field(default_factory=lambda: OptConfig(lr=0.5, momentum=0.9, weight_decay=0.0))
 
     def validate(self) -> None:
-        if self.arch not in ARCHS:
-            raise ConfigError(f"arch must be one of {ARCHS}, got {self.arch!r}")
+        if self.arch not in ARCHITECTURES:
+            raise ConfigError(f"arch must be one of {tuple(ARCHITECTURES)}, got {self.arch!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        for n in ("pretrain_epochs", "prune_epochs", "finetune_epochs"):
+        for n in STAGE_KEYS:
             if getattr(self, n) < 0:
                 raise ConfigError(f"{n} must be >= 0")
         if self.prune_epochs < 1:
@@ -74,41 +78,13 @@ class RunConfig:
             getattr(self, name).validate(name)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "arch": self.arch,
-            "method": self.method,
-            "dataset": dict(self.dataset),
-            "stages": {
-                "pretrain_epochs": self.pretrain_epochs,
-                "prune_epochs": self.prune_epochs,
-                "finetune_epochs": self.finetune_epochs,
-            },
-            "batch_size": self.batch_size,
-            "compression": {
-                "k_t": self.compression.k_t,
-                "k_init": self.compression.k_init,
-                "gamma_step": self.compression.gamma_step,
-                "granularity": self.compression.granularity,
-                "budget": self.compression.budget,
-            },
-            "attack": {
-                "epsilon": self.attack.epsilon,
-                "step_size": self.attack.step_size,
-                "iters": self.attack.iters,
-                "random_init": self.attack.random_init,
-            },
-            "loss": {"kind": self.loss.kind, "beta": self.loss.beta},
-            "opt": {
-                name: {"lr": o.lr, "momentum": o.momentum, "weight_decay": o.weight_decay}
-                for name, o in (
-                    ("pretrain", self.opt_pretrain),
-                    ("finetune", self.opt_finetune),
-                    ("scores", self.opt_scores),
-                    ("rates", self.opt_rates),
-                )
-            },
-        }
+        tree = {f.name: getattr(self, f.name) for f in fields(self)}
+        tree["dataset"] = dict(self.dataset)
+        tree["stages"] = {k: tree.pop(k) for k in STAGE_KEYS}
+        for name in ("compression", "attack", "loss"):
+            tree[name] = _section(tree[name])
+        tree["opt"] = {n: _section(tree.pop(f"opt_{n}")) for n in OPT_NAMES}
+        return tree
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -140,71 +116,75 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
-            parts = key.strip().split(".")
-            if not all(parts):
-                raise ConfigError(f"{path}:{lineno}: empty key component in {key.strip()!r}")
-            node = tree
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-                if not isinstance(node, dict):
-                    raise ConfigError(f"{path}:{lineno}: {key.strip()!r} conflicts with earlier value")
-            node[parts[-1]] = _coerce(value)
+            key = key.strip()
+            if not all(key.split(".")):
+                raise ConfigError(f"{path}:{lineno}: empty key component in {key!r}")
+            try:
+                set_key(tree, key, _coerce(value))
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return tree
 
 
+def set_key(tree: dict, key: str, value) -> None:
+    """Set a dotted ``section.key`` in a nested config tree."""
+    *sections, leaf = key.split(".")
+    node = tree
+    for part in sections:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{key!r} conflicts with earlier value")
+    node[leaf] = value
+
+
 def config_from_dict(tree: dict, seed: int | None = None) -> RunConfig:
-    """Build and validate a RunConfig from a parsed config tree."""
+    """Build and validate a RunConfig from a parsed config tree.
+
+    The tree is merged key by key over the defaults; each value is cast to
+    the type of its default and a key without a default is rejected.
+    """
+    use_seed = seed if seed is not None else tree.get("seed")
+    if use_seed is None:
+        raise ConfigError("seed is required (config key 'seed' or --seed)")
     try:
-        stages = tree.get("stages", {})
-        comp = tree.get("compression", {})
-        attack = tree.get("attack", {})
-        loss = tree.get("loss", {})
-        opts = tree.get("opt", {})
-        use_seed = seed if seed is not None else tree.get("seed")
-        if use_seed is None:
-            raise ConfigError("seed is required (config key 'seed' or --seed)")
+        t = _merge(RunConfig(seed=0).to_dict(), {**tree, "seed": use_seed}, "")
         cfg = RunConfig(
-            seed=int(use_seed),
-            arch=tree.get("arch", "conv-small"),
-            method=tree.get("method", "harp"),
-            dataset=dict(tree.get("dataset", RunConfig(seed=0).dataset)),
-            pretrain_epochs=int(stages.get("pretrain_epochs", 30)),
-            prune_epochs=int(stages.get("prune_epochs", 20)),
-            finetune_epochs=int(stages.get("finetune_epochs", 100)),
-            batch_size=int(tree.get("batch_size", 128)),
-            compression=CompressionConfig(
-                k_t=float(comp.get("k_t", 0.1)),
-                k_init=float(comp.get("k_init", 0.1)),
-                gamma_step=float(comp.get("gamma_step", 0.01)),
-                granularity=comp.get("granularity", "weight"),
-                budget=comp.get("budget", "param-count"),
-            ),
-            attack=AttackConfig(
-                epsilon=float(attack.get("epsilon", 8 / 255)),
-                step_size=float(attack.get("step_size", 2 / 255)),
-                iters=int(attack.get("iters", 10)),
-                random_init=bool(attack.get("random_init", True)),
-            ),
-            loss=RobustLossConfig(
-                kind=loss.get("kind", "pgd-at"),
-                beta=float(loss.get("beta", 6.0)),
-            ),
-            opt_pretrain=_opt_from(opts.get("pretrain", {}), OptConfig()),
-            opt_finetune=_opt_from(opts.get("finetune", {}), OptConfig()),
-            opt_scores=_opt_from(opts.get("scores", {}), OptConfig(lr=0.02, momentum=0.9, weight_decay=0.0)),
-            opt_rates=_opt_from(opts.get("rates", {}), OptConfig(lr=0.5, momentum=0.9, weight_decay=0.0)),
+            seed=t["seed"], arch=t["arch"], method=t["method"], dataset=t["dataset"],
+            batch_size=t["batch_size"], **t["stages"],
+            compression=CompressionConfig(**t["compression"]),
+            attack=AttackConfig(**t["attack"]),
+            loss=RobustLossConfig(**t["loss"]),
+            **{f"opt_{n}": OptConfig(**t["opt"][n]) for n in OPT_NAMES},
         )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:  # range checks in the dataclasses
         raise ConfigError(str(exc)) from exc
     cfg.validate()
     return cfg
 
 
-def _opt_from(node: dict, default: OptConfig) -> OptConfig:
-    return OptConfig(
-        lr=float(node.get("lr", default.lr)),
-        momentum=float(node.get("momentum", default.momentum)),
-        weight_decay=float(node.get("weight_decay", default.weight_decay)),
-    )
+def _section(obj) -> dict:
+    """The config keys of a dataclass: its scalar fields (attack bounds are fixed)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if isinstance(getattr(obj, f.name), (bool, int, float, str))}
+
+
+def _merge(defaults: dict, tree: dict, prefix: str) -> dict:
+    out = dict(defaults)
+    for key, value in tree.items():
+        name = prefix + key
+        if key not in defaults:
+            if prefix != "dataset." or key not in DATASET_FILE_KEYS:
+                raise ConfigError(f"unknown config key {name!r}")
+            out[key] = value
+        elif isinstance(defaults[key], dict) != isinstance(value, dict):
+            raise ConfigError(f"config key {name!r} must be a "
+                              + ("section" if isinstance(defaults[key], dict) else "single value"))
+        elif isinstance(value, dict):
+            out[key] = _merge(defaults[key], value, name + ".")
+        else:
+            try:
+                out[key] = type(defaults[key])(value)
+            except ValueError:
+                raise ConfigError(f"config key {name!r}: cannot read {value!r} as "
+                                  f"{type(defaults[key]).__name__}") from None
+    return out

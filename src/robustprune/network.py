@@ -1,4 +1,4 @@
-"""Prunable networks: layer specs, masked forward passes, parameter and FLOPs accounting.
+"""Prunable networks: architecture step lists, masked forward passes, parameter and FLOPs counts.
 
 Parameter tensors use the input-channel-first layout: conv weights are
 (c_i, c_o, k, k) and fully-connected weights are (c_i, c_o), so channel
@@ -63,12 +63,6 @@ class PrunableLayer:
         self.quota: Tensor | None = None
         self.mask = np.ones(spec.weight_shape)  # granularity-shaped, values in {0,1}
 
-    @property
-    def granularity(self) -> str:
-        if self.mask.shape == self.spec.weight_shape:
-            return "weight"
-        return "channel"
-
     def mask_broadcast(self) -> np.ndarray:
         """Mask expanded to the full weight shape."""
         return np.broadcast_to(self._mask_view(), self.spec.weight_shape)
@@ -93,19 +87,78 @@ class PrunableLayer:
         return int(np.count_nonzero(self.params.values * self.mask_broadcast()))
 
 
+# Markers between the prunable layers of a step list.
+RELU = "relu"
+POOL = "pool"  # 2x2 max pooling
+SAVE = "save"  # keep the current activation as the input of the next shortcut
+
+# One step list per architecture. A prunable step is (name, kind, c_o) with
+# c_o None meaning the class count; c_i, spatial size and fc fan-in follow
+# from walking the list over the input shape. Conv steps are 3x3 with
+# padding 1; a shortcut-conv step is a 1x1 conv of the saved activation whose
+# output is added to the current one.
+ARCHITECTURES = {
+    "mlp-small": [("fc1", "fc", 64), RELU, ("fc2", "fc", 32), RELU, ("fc3", "fc", None)],
+    "conv-small": [
+        ("conv1", "conv", 12), RELU, POOL,
+        ("conv2", "conv", 24), RELU, POOL,
+        ("conv3", "conv", 24), RELU,
+        ("fc1", "fc", 32), RELU,
+        ("fc2", "fc", None),
+    ],
+    "resnet-tiny": [
+        ("conv1", "conv", 16), RELU, POOL, SAVE,
+        ("block.conv_a", "conv", 16), RELU,
+        ("block.conv_b", "conv", 16),
+        ("block.shortcut", "shortcut-conv", 16), RELU, POOL,
+        ("fc", "fc", None),
+    ],
+}
+
+
+def _layout(arch: str, steps, input_shape, classes: int):
+    """LayerSpecs and residual links (block input layer, shortcut) of a step list."""
+    shape = tuple(input_shape)  # activation shape without the batch axis
+    specs, links = [], []
+    pools = steps.count(POOL)
+    if pools and (len(shape) != 3 or shape[1] % 2**pools or shape[2] % 2**pools):
+        raise ValueError(f"{arch} needs spatial dims divisible by {2**pools}, got {shape}")
+    for step in steps:
+        if step == POOL:
+            c, h, w = shape
+            shape = (c, h // 2, w // 2)
+        elif step == SAVE:
+            saved, block = shape, len(specs)
+        elif step != RELU:
+            name, kind, c_o = step
+            c_o = classes if c_o is None else c_o
+            if kind == "fc":
+                specs.append(LayerSpec(name, kind, int(np.prod(shape)), c_o))
+                shape = (c_o,)
+            elif kind == "conv":
+                c, h, w = shape
+                specs.append(LayerSpec(name, kind, c, c_o, kernel=3, spatial_out=h, padding=1))
+                shape = (c_o, h, w)
+            else:  # shortcut-conv
+                links.append((block, len(specs)))
+                specs.append(LayerSpec(name, kind, saved[0], c_o, kernel=1, spatial_out=saved[1]))
+    return specs, links
+
+
 class Network:
-    """Ordered prunable layers plus the wiring needed to run them."""
+    """Ordered prunable layers run by walking the architecture's step list."""
 
     def __init__(self, arch: str, layers: list[PrunableLayer], input_shape, classes: int,
-                 residual_links: list[tuple[int, int]] | None = None):
+                 steps: list | None = None):
         self.arch = arch
         self.layers = layers
         self.input_shape = tuple(input_shape)
         self.classes = classes
-        self.residual_links = residual_links or []
-        for a, b in self.residual_links:
-            if not (0 <= a < len(layers) and 0 <= b < len(layers)):
-                raise ValueError(f"residual link ({a}, {b}) references missing layers")
+        self.steps = ARCHITECTURES[arch] if steps is None else steps
+        specs, self.residual_links = _layout(arch, self.steps, self.input_shape, classes)
+        if [s.name for s in specs] != [l.spec.name for l in layers]:
+            raise ValueError(f"{arch}: layers {[l.spec.name for l in layers]} do not match "
+                             f"the step list {[s.name for s in specs]}")
         self.total_params = sum(l.spec.weight_count for l in layers)
         # set by forward(): the masked parameter tensor of each layer, so the
         # pruning stage can read d(loss)/d(theta_hat) after backward
@@ -117,11 +170,30 @@ class Network:
             raise T.ShapeError(
                 f"{self.arch}: input {x.shape} does not match batched {self.input_shape}"
             )
-        if self.arch != "mlp-small" and x.values.ndim != len(self.input_shape) + 1:
+        if self.layers[0].spec.kind != "fc" and x.values.ndim != len(self.input_shape) + 1:
             raise T.ShapeError(
                 f"{self.arch}: input {x.shape} must be (batch, {', '.join(map(str, self.input_shape))})"
             )
-        return _FORWARDS[self.arch](self, x, masked)
+        h, saved, i = x, None, 0
+        for step in self.steps:
+            if step == RELU:
+                h = T.relu(h)
+            elif step == POOL:
+                h = T.max_pool2d(h)
+            elif step == SAVE:
+                saved = h
+            else:
+                spec = self.layers[i].spec
+                if spec.kind == "fc":
+                    if h.values.ndim > 2:
+                        h = T.reshape(h, (h.shape[0], -1))
+                    h = T.matmul(h, self._weights(i, masked))
+                elif spec.kind == "conv":
+                    h = T.conv2d(h, self._weights(i, masked), padding=spec.padding)
+                else:
+                    h = T.add(h, T.conv2d(saved, self._weights(i, masked), padding=spec.padding))
+                i += 1
+        return h
 
     def _weights(self, idx: int, masked: bool) -> Tensor:
         layer = self.layers[idx]
@@ -134,54 +206,6 @@ class Network:
         return theta_hat
 
 
-def masked_forward(net: Network, x: Tensor) -> Tensor:
-    """Forward pass through theta * mask in every prunable layer."""
-    return net.forward(x, masked=True)
-
-
-def _flatten(x: Tensor) -> Tensor:
-    return T.reshape(x, (x.shape[0], -1))
-
-
-def _forward_mlp(net: Network, x: Tensor, masked: bool) -> Tensor:
-    h = _flatten(x) if x.values.ndim > 2 else x
-    for i in range(len(net.layers)):
-        h = T.matmul(h, net._weights(i, masked))
-        if i < len(net.layers) - 1:
-            h = T.relu(h)
-    return h
-
-
-def _forward_conv_small(net: Network, x: Tensor, masked: bool) -> Tensor:
-    h = T.relu(T.conv2d(x, net._weights(0, masked), padding=1))
-    h = T.max_pool2d(h)
-    h = T.relu(T.conv2d(h, net._weights(1, masked), padding=1))
-    h = T.max_pool2d(h)
-    h = T.relu(T.conv2d(h, net._weights(2, masked), padding=1))
-    h = _flatten(h)
-    h = T.relu(T.matmul(h, net._weights(3, masked)))
-    return T.matmul(h, net._weights(4, masked))
-
-
-def _forward_resnet_tiny(net: Network, x: Tensor, masked: bool) -> Tensor:
-    h = T.relu(T.conv2d(x, net._weights(0, masked), padding=1))
-    h = T.max_pool2d(h)
-    body = T.relu(T.conv2d(h, net._weights(1, masked), padding=1))
-    body = T.conv2d(body, net._weights(2, masked), padding=1)
-    short = T.conv2d(h, net._weights(3, masked), padding=0)
-    h = T.relu(T.add(body, short))
-    h = T.max_pool2d(h)
-    h = _flatten(h)
-    return T.matmul(h, net._weights(4, masked))
-
-
-_FORWARDS = {
-    "mlp-small": _forward_mlp,
-    "conv-small": _forward_conv_small,
-    "resnet-tiny": _forward_resnet_tiny,
-}
-
-
 def _init_params(spec: LayerSpec, rng: np.random.Generator) -> Tensor:
     bound = np.sqrt(6.0 / spec.fan_in)
     values = rng.uniform(-bound, bound, size=spec.weight_shape)
@@ -190,46 +214,12 @@ def _init_params(spec: LayerSpec, rng: np.random.Generator) -> Tensor:
 
 def build_network(arch: str, input_shape, classes: int, seed: int = 0) -> Network:
     """Construct one of the desk-scale architectures with seeded fan-in-scaled init."""
-    if arch not in _FORWARDS:
-        raise ValueError(f"unknown architecture {arch!r}; expected one of {sorted(_FORWARDS)}")
-    input_shape = tuple(input_shape)
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}; expected one of {sorted(ARCHITECTURES)}")
+    specs, _ = _layout(arch, ARCHITECTURES[arch], input_shape, classes)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
-
-    if arch == "mlp-small":
-        d = int(np.prod(input_shape))
-        specs = [
-            LayerSpec("fc1", "fc", d, 64),
-            LayerSpec("fc2", "fc", 64, 32),
-            LayerSpec("fc3", "fc", 32, classes),
-        ]
-        links = []
-    elif arch == "conv-small":
-        c, h, w = input_shape
-        if h % 4 or w % 4:
-            raise ValueError(f"conv-small needs spatial dims divisible by 4, got {input_shape}")
-        specs = [
-            LayerSpec("conv1", "conv", c, 12, kernel=3, spatial_out=h, padding=1),
-            LayerSpec("conv2", "conv", 12, 24, kernel=3, spatial_out=h // 2, padding=1),
-            LayerSpec("conv3", "conv", 24, 24, kernel=3, spatial_out=h // 4, padding=1),
-            LayerSpec("fc1", "fc", 24 * (h // 4) * (w // 4), 32),
-            LayerSpec("fc2", "fc", 32, classes),
-        ]
-        links = []
-    else:  # resnet-tiny
-        c, h, w = input_shape
-        if h % 4 or w % 4:
-            raise ValueError(f"resnet-tiny needs spatial dims divisible by 4, got {input_shape}")
-        specs = [
-            LayerSpec("conv1", "conv", c, 16, kernel=3, spatial_out=h, padding=1),
-            LayerSpec("block.conv_a", "conv", 16, 16, kernel=3, spatial_out=h // 2, padding=1),
-            LayerSpec("block.conv_b", "conv", 16, 16, kernel=3, spatial_out=h // 2, padding=1),
-            LayerSpec("block.shortcut", "shortcut-conv", 16, 16, kernel=1, spatial_out=h // 2),
-            LayerSpec("fc", "fc", 16 * (h // 4) * (w // 4), classes),
-        ]
-        links = [(1, 3)]  # shortcut quota follows the block input layer
-
     layers = [PrunableLayer(s, _init_params(s, rng)) for s in specs]
-    return Network(arch, layers, input_shape, classes, links)
+    return Network(arch, layers, input_shape, classes)
 
 
 def count_preserved(net: Network) -> tuple[int, list[int]]:

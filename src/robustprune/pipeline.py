@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
-from .adversary import AttackConfig, MetricRow, evaluate, metrics_to_csv, robust_loss
+from .adversary import (AttackConfig, DivergenceError, MetricRow, evaluate, metrics_to_csv,
+                        robust_step)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import RunConfig
+from .config import RunConfig, config_from_dict
 from .data import Dataset, ingest
 from .network import Network, build_network, count_preserved, flops
 from .optim import CosineSchedule, SgdState, sgd_step
@@ -32,12 +32,8 @@ from .pruning import (
     prune_epoch,
     retie_shortcut_quotas,
 )
-from .strategies import measure_strategy, strategy_flops
+from .strategies import measure_strategy
 from .tensor import Tensor
-
-
-class DivergenceError(RuntimeError):
-    """Training loss became non-finite; maps to CLI exit code 3."""
 
 
 def _stage_rng(seed: int, tag: str) -> np.random.Generator:
@@ -54,11 +50,7 @@ def _train_theta(net: Network, cfg: RunConfig, train: Dataset, epochs: int,
     for epoch in range(epochs):
         opt.set_epoch(epoch)
         for x, y in train.batches(cfg.batch_size, rng):
-            with T.scoped_tape():
-                loss, _ = robust_loss(net, x, y, cfg.loss, cfg.attack, rng)
-                if not np.isfinite(loss.item()):
-                    raise DivergenceError(f"{stage}: loss diverged at epoch {epoch + 1}")
-                T.backward(loss)
+            robust_step(net, x, y, cfg.loss, cfg.attack, rng, f"{stage} epoch {epoch + 1}")
             sgd_step(opt, params)
 
 
@@ -136,8 +128,6 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
         stats = prune_epoch(net, comp, gamma, cfg.loss, cfg.attack,
                             train.batches(cfg.batch_size, rng), score_opt, rate_opt, rng,
                             learn_scores=learn_scores, learn_rates=learn_rates)
-        if not np.isfinite(stats.robust_loss_mean):
-            raise DivergenceError(f"prune: loss diverged at epoch {epoch}")
         gamma_update(sched, epoch, stats.hw_loss_mean)
         history.append({
             "epoch": epoch, "gamma": gamma, "robust_loss": stats.robust_loss_mean,
@@ -155,8 +145,7 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
     if outdir is not None:
         outdir = Path(outdir)
         save_checkpoint(outdir / "prune.npz", net, "prune", cfg.seed, cfg.config_hash(),
-                        rng_state=rng.bit_generator.state,
-                        velocities={"scores": score_opt.velocity, "rates": rate_opt.velocity})
+                        rng_state=rng.bit_generator.state)
         result.save_csv(outdir / "prune_curve.csv", [l.spec.name for l in net.layers])
     return net, result
 
@@ -196,14 +185,9 @@ def run_all(cfg: RunConfig, outdir: Path) -> list[MetricRow]:
     rows = evaluate(net, test.inputs, test.labels, default_eval_attacks(cfg.attack))
     metrics_to_csv(rows, outdir / "metrics.csv")
     table = measure_strategy(net)
-    table.save_csv(outdir / "strategy.csv", strategy_flops_list(net))
+    table.save_csv(outdir / "strategy.csv", flops(net)[1])
     write_summary(outdir / "summary.csv", cfg, net, rows)
     return rows
-
-
-def strategy_flops_list(net: Network) -> list[float]:
-    _, per_layer = flops(net)
-    return per_layer
 
 
 def write_summary(path, cfg: RunConfig, net: Network, rows: list[MetricRow]) -> None:
@@ -266,8 +250,6 @@ def sweep(base_cfg: RunConfig, k_values: list[float], methods: list[str],
 
 
 def _with(cfg: RunConfig, method: str, k_t: float) -> RunConfig:
-    from .config import config_from_dict
-
     tree = cfg.to_dict()
     tree["method"] = method
     tree["compression"]["k_t"] = k_t

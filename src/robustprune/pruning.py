@@ -1,4 +1,4 @@
-"""Learned compression: trainable per-layer rates and scores, percentile masks,
+"""Learned compression: trainable per-layer rates and scores, top-fraction masks,
 straight-through gradients, the clamped global budget loss, and its schedule.
 
 Rates live in an unconstrained quota r per layer, squeezed into [k_min, 1]
@@ -10,15 +10,13 @@ to scores and quotas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
-from .adversary import AttackConfig, RobustLossConfig, robust_loss
+from .adversary import AttackConfig, RobustLossConfig, robust_step
 from .network import Network, count_preserved, flops
 from .optim import SgdState, sgd_step
-from .tensor import Tensor
 
 GRANULARITIES = ("weight", "channel")
 BUDGETS = ("param-count", "flops")
@@ -128,49 +126,26 @@ def init_scores_channel(theta: np.ndarray, fan_in: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# percentile masks
+# top-fraction masks
 
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def percentile_threshold(alpha: float, scores: np.ndarray) -> float:
-    """Cutoff such that ``scores > threshold`` keeps the top (1 - alpha) fraction.
-
-    Exact cardinality holds for distinct scores; ties at the threshold are
-    resolved by the mask builder in flat-index order.
-    """
-    flat = np.asarray(scores).ravel()
-    if flat.size == 0:
-        raise ValueError("percentile threshold of empty scores")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    keep = _round_half_up((1.0 - alpha) * flat.size)
-    if keep >= flat.size:
-        return -np.inf
-    if keep <= 0:
-        return float(flat.max())
-    return float(np.partition(flat, flat.size - keep - 1)[flat.size - keep - 1])
-
-
 def top_fraction_mask(scores: np.ndarray, rate: float) -> np.ndarray:
     """Binary mask keeping the top ``rate`` fraction by score, at least one entry.
 
-    Strictly-greater comparison against the percentile cutoff; entries tied
-    at the cutoff fill the remaining quota in flat-index order, which makes
-    the mask deterministic for any score vector.
+    One stable sort of the negated scores: ties keep flat-index order, which
+    makes the mask deterministic for any score vector.
     """
     flat = np.asarray(scores, dtype=np.float64).ravel()
-    keep = max(1, _round_half_up(rate * flat.size))
-    keep = min(keep, flat.size)
-    thresh = percentile_threshold(1.0 - keep / flat.size, flat)
-    mask = flat > thresh
-    short = keep - int(mask.sum())
-    if short > 0:
-        tied = np.flatnonzero(flat == thresh)
-        mask[tied[:short]] = True
-    return mask.astype(np.float64).reshape(np.asarray(scores).shape)
+    if flat.size == 0:
+        raise ValueError("cannot rank an empty score array")
+    keep = min(max(1, _round_half_up(rate * flat.size)), flat.size)
+    mask = np.zeros(flat.size)
+    mask[np.argsort(-flat, kind="stable")[:keep]] = 1.0
+    return mask.reshape(np.asarray(scores).shape)
 
 
 def build_masks(net: Network, k_min: float) -> list[np.ndarray]:
@@ -307,10 +282,7 @@ def prune_epoch(
         build_masks(net, cfg.k_min)
         hw_value, hw_unit, _ = budget_state(net, cfg)
 
-        with T.scoped_tape():
-            loss, _ = robust_loss(net, x, y, loss_cfg, attack_cfg, rng)
-            T.backward(loss)
-        rob_losses.append(loss.item())
+        rob_losses.append(robust_step(net, x, y, loss_cfg, attack_cfg, rng, "prune"))
         hw_losses.append(hw_value)
 
         scores, quotas = [], []

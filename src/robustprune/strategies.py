@@ -16,8 +16,6 @@ import numpy as np
 from .network import Network, flops
 from .pruning import _round_half_up, top_fraction_mask
 
-SOURCES = ("uniform", "erk", "lamp", "harp-learned")
-
 
 @dataclass
 class StrategyRow:

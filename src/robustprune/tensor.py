@@ -94,10 +94,6 @@ def input_grads_only():
         _PARAM_GRADS.pop()
 
 
-def tape_length() -> int:
-    return len(_TAPES[-1])
-
-
 def _record(output: Tensor, inputs: tuple[Tensor, ...], rule) -> None:
     if _RECORDING[-1]:
         output._from_op = True
@@ -352,10 +348,6 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(z))
-
-
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy between softmax(logits) and integer labels."""
     if logits.values.ndim != 2:
@@ -410,25 +402,3 @@ def _needs_grad(t: Tensor) -> bool:
     # produced by another op always need one.
     return t.requires_grad or t._from_op
 
-
-_OPS = {
-    "matmul": matmul,
-    "conv2d": conv2d,
-    "add": add,
-    "mul-elementwise": mul,
-    "relu": relu,
-    "max-pool": max_pool2d,
-    "softmax-cross-entropy": softmax_cross_entropy,
-    "kl-divergence": kl_divergence,
-    "sigmoid": sigmoid,
-    "sum": tensor_sum,
-    "mean": tensor_mean,
-    "clamp": clamp,
-}
-
-
-def forward_op(kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch a recorded forward operation by name."""
-    if kind not in _OPS:
-        raise ValueError(f"unknown op kind {kind!r}; expected one of {sorted(_OPS)}")
-    return _OPS[kind](*inputs, **kwargs)

@@ -18,7 +18,7 @@ from robustprune.adversary import AttackConfig, constraints_satisfied, evaluate,
 from robustprune.checkpoint import load_checkpoint, save_checkpoint
 from robustprune.config import RunConfig
 from robustprune.data import ingest, synthetic_blobs
-from robustprune.network import build_network, count_preserved, flops, masked_forward
+from robustprune.network import build_network, count_preserved, flops
 from robustprune.optim import SgdState, sgd_step
 from robustprune.pipeline import (
     default_eval_attacks,
@@ -374,12 +374,12 @@ def test_criterion_10_channel_pruning(tmp_path):
     rng = np.random.default_rng(0)
     x = Tensor(rng.uniform(0, 1, size=(8, 1, 16, 16)))
     with T.no_grad():
-        masked = masked_forward(net, x).values
+        masked = net.forward(x).values
     for layer in net.layers:
         layer.params.values *= layer.mask_broadcast()
         layer.set_weight_mask(np.ones(layer.spec.weight_shape))
     with T.no_grad():
-        overwritten = masked_forward(net, x).values
+        overwritten = net.forward(x).values
     assert np.array_equal(masked, overwritten)
     print(f"\nPASS criterion 10: FLOPs rate {current / full:.4f} <= 0.5, shortcut quotas "
           f"tied, channel-mask equivalence exact (arrival {history.arrival_epoch})")

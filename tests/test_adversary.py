@@ -86,7 +86,7 @@ def test_fgsm_sign_matches_linear_model_closed_form():
     from robustprune.network import LayerSpec, Network, PrunableLayer
 
     lin = Network("mlp-small", [PrunableLayer(LayerSpec("fc1", "fc", 4, 2), Tensor(w, requires_grad=True))],
-                  (4,), 2)
+                  (4,), 2, steps=[("fc1", "fc", None)])
     out = fgsm(lin, x, y, AttackConfig(epsilon=eps, step_size=eps))
     assert np.allclose(out, np.clip(stepped, 0, 1))
 

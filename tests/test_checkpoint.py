@@ -20,8 +20,7 @@ def test_checkpoint_roundtrip_forward_bit_exact(tmp_path):
 
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, net, "prune", seed=21, config_hash="abc123",
-                    rng_state=rng.bit_generator.state,
-                    velocities={"scores": [np.zeros(l.spec.weight_shape) for l in net.layers]})
+                    rng_state=rng.bit_generator.state)
     ckpt = load_checkpoint(path)
     rebuilt = ckpt.build()
     with T.no_grad():
@@ -45,17 +44,27 @@ def test_checkpoint_preserves_pruning_state(tmp_path):
         assert np.array_equal(a.params.values, b.params.values)
 
 
-def test_checkpoint_velocity_restore(tmp_path):
+def test_checkpoint_with_legacy_velocity_arrays_loads(tmp_path):
+    # earlier prune checkpoints also carried optimizer velocities as vel_<name>_<i>
     net = build_network("mlp-small", (1, 8, 8), 2, seed=23)
-    vels = [np.random.default_rng(1).normal(size=l.spec.weight_shape) for l in net.layers]
+    init_pruning_state(net, CompressionConfig(k_t=0.5))
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, net, "pretrain", seed=23, config_hash="y",
-                    velocities={"theta": vels})
-    ckpt = load_checkpoint(path)
-    got = ckpt.optimizer_velocity("theta")
-    for a, b in zip(vels, got):
-        assert np.array_equal(a, b)
-    assert ckpt.optimizer_velocity("missing") is None
+    save_checkpoint(path, net, "prune", seed=23, config_hash="y")
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    assert not any(k.startswith("vel_") for k in arrays)
+    for i, layer in enumerate(net.layers):
+        arrays[f"vel_scores_{i}"] = np.ones(layer.spec.weight_shape)
+        arrays[f"vel_rates_{i}"] = np.ones(())
+    legacy = tmp_path / "legacy.npz"
+    np.savez(legacy, **arrays)
+    rebuilt = load_checkpoint(legacy).build()
+    x = Tensor(np.random.default_rng(3).uniform(0, 1, size=(4, 1, 8, 8)))
+    with T.no_grad():
+        assert np.array_equal(net.forward(x).values, rebuilt.forward(x).values)
+    for a, b in zip(net.layers, rebuilt.layers):
+        assert np.array_equal(a.scores.values, b.scores.values)
+        assert np.array_equal(a.mask, b.mask)
 
 
 def test_checkpoint_rng_state_roundtrip(tmp_path):

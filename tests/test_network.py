@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import robustprune.tensor as T
-from robustprune.network import build_network, count_preserved, flops, masked_forward
+from robustprune.network import LayerSpec, Network, PrunableLayer, build_network, count_preserved, flops
 from robustprune.tensor import Tensor
 
 from helpers import brute_force_preserved, mac_count
@@ -36,6 +36,58 @@ def test_unknown_arch_rejected():
         build_network("vgg-19", (1, 16, 16), 2)
 
 
+# Layer tables at input (1, 8, 8) and 3 classes, written out by hand.
+# Checkpoints and CSV columns depend on the names, order and shapes.
+EXPECTED_SPECS = {
+    "mlp-small": [LayerSpec("fc1", "fc", 64, 64), LayerSpec("fc2", "fc", 64, 32),
+                  LayerSpec("fc3", "fc", 32, 3)],
+    "conv-small": [
+        LayerSpec("conv1", "conv", 1, 12, kernel=3, spatial_out=8, padding=1),
+        LayerSpec("conv2", "conv", 12, 24, kernel=3, spatial_out=4, padding=1),
+        LayerSpec("conv3", "conv", 24, 24, kernel=3, spatial_out=2, padding=1),
+        LayerSpec("fc1", "fc", 96, 32), LayerSpec("fc2", "fc", 32, 3),
+    ],
+    "resnet-tiny": [
+        LayerSpec("conv1", "conv", 1, 16, kernel=3, spatial_out=8, padding=1),
+        LayerSpec("block.conv_a", "conv", 16, 16, kernel=3, spatial_out=4, padding=1),
+        LayerSpec("block.conv_b", "conv", 16, 16, kernel=3, spatial_out=4, padding=1),
+        LayerSpec("block.shortcut", "shortcut-conv", 16, 16, kernel=1, spatial_out=4),
+        LayerSpec("fc", "fc", 64, 3),
+    ],
+}
+# Per-layer sums of the seed-0 initial weights: the init RNG order is fixed.
+EXPECTED_INIT_SUMS = {
+    "mlp-small": [-13.423574334654127, -3.0583809070022205, 0.14832359825793906],
+    "conv-small": [-0.5290489354344402, -8.183843310241409, 0.14755040502273786,
+                   -17.97538472761234, 1.1714508417077694],
+    "resnet-tiny": [-1.5400858976073544, -5.869554317569336, -1.880466026015258,
+                    3.4261133641305306, -2.346727238660426],
+}
+
+
+@pytest.mark.parametrize("arch", sorted(EXPECTED_SPECS))
+def test_step_list_derives_layer_table_and_init(arch):
+    net = build_network(arch, (1, 8, 8), 3, seed=0)
+    assert [l.spec for l in net.layers] == EXPECTED_SPECS[arch]
+    assert net.residual_links == ([(1, 3)] if arch == "resnet-tiny" else [])
+    sums = [float(l.params.values.sum()) for l in net.layers]
+    assert sums == pytest.approx(EXPECTED_INIT_SUMS[arch], rel=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["conv-small", "resnet-tiny"])
+def test_spatial_dims_must_survive_both_pools(arch):
+    with pytest.raises(ValueError, match="divisible by 4"):
+        build_network(arch, (1, 18, 18), 2)
+
+
+def test_layers_must_match_the_step_list():
+    layer = PrunableLayer(LayerSpec("fc1", "fc", 4, 2), Tensor(np.ones((4, 2))))
+    with pytest.raises(ValueError, match="step list"):
+        Network("mlp-small", [layer], (4,), 2)
+    net = Network("mlp-small", [layer], (4,), 2, steps=[("fc1", "fc", None)])
+    assert np.array_equal(net.forward(Tensor(np.ones((3, 4)))).values, np.full((3, 2), 4.0))
+
+
 def test_build_is_deterministic():
     a = build_network("conv-small", (1, 16, 16), 2, seed=9)
     b = build_network("conv-small", (1, 16, 16), 2, seed=9)
@@ -56,7 +108,7 @@ def test_all_ones_mask_is_identity(arch):
     net = build_network(arch, (1, 16, 16), 3, seed=4)
     x = _input(rng)
     with T.no_grad():
-        masked = masked_forward(net, x).values
+        masked = net.forward(x).values
         plain = net.forward(x, masked=False).values
     assert np.array_equal(masked, plain)
 
@@ -67,8 +119,8 @@ def test_all_zero_masks_make_logits_constant():
     for layer in net.layers:
         layer.set_weight_mask(np.zeros(layer.spec.weight_shape))
     with T.no_grad():
-        a = masked_forward(net, _input(rng)).values
-        b = masked_forward(net, _input(rng)).values
+        a = net.forward(_input(rng)).values
+        b = net.forward(_input(rng)).values
     assert np.array_equal(a, b)
     assert np.array_equal(a, np.zeros_like(a))
 
@@ -81,11 +133,11 @@ def test_zeroed_weight_equals_zeroed_mask_entry():
     mask[3, 5, 1, 2] = 0.0
     net.layers[1].set_weight_mask(mask)
     with T.no_grad():
-        via_mask = masked_forward(net, x).values
+        via_mask = net.forward(x).values
     net.layers[1].set_weight_mask(np.ones_like(mask))
     net.layers[1].params.values[3, 5, 1, 2] = 0.0
     with T.no_grad():
-        via_theta = masked_forward(net, x).values
+        via_theta = net.forward(x).values
     assert np.array_equal(via_mask, via_theta)
 
 
@@ -106,12 +158,12 @@ def test_masked_forward_equivalence_oracle(arch, granularity):
             layer.set_channel_mask(m)
     x = _input(rng)
     with T.no_grad():
-        masked = masked_forward(net, x).values
+        masked = net.forward(x).values
     for layer in net.layers:
         layer.params.values *= layer.mask_broadcast()
         layer.set_weight_mask(np.ones(layer.spec.weight_shape))
     with T.no_grad():
-        overwritten = masked_forward(net, x).values
+        overwritten = net.forward(x).values
     assert np.array_equal(masked, overwritten)
 
 
@@ -134,8 +186,6 @@ def test_count_preserved_half_masked():
 
 def test_count_preserved_channel_mask_broadcast():
     # 4x8x3x3 conv keeping 2 of 4 input channels -> 2*8*9 = 144 weights
-    from robustprune.network import LayerSpec, PrunableLayer
-
     spec = LayerSpec("toy", "conv", 4, 8, kernel=3, spatial_out=4)
     toy = PrunableLayer(spec, Tensor(np.random.default_rng(0).normal(size=spec.weight_shape)))
     toy.set_channel_mask(np.array([1.0, 0.0, 1.0, 0.0]))

@@ -1,5 +1,6 @@
 """Stage contracts, composability, determinism, and the CLI surface."""
 
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import robustprune.tensor as T
-from robustprune.adversary import AttackConfig, evaluate
+from robustprune import cli
+from robustprune.adversary import AttackConfig, RobustLossConfig, evaluate
 from robustprune.checkpoint import load_checkpoint
 from robustprune.config import (
     ConfigError,
@@ -17,15 +19,18 @@ from robustprune.config import (
     parse_config_file,
 )
 from robustprune.data import ingest
-from robustprune.network import count_preserved
+from robustprune.network import build_network, count_preserved
+from robustprune.optim import SgdState
 from robustprune.pipeline import (
+    DivergenceError,
     default_eval_attacks,
+    init_pruning_state,
     run_all,
     stage_finetune,
     stage_pretrain,
     stage_prune,
 )
-from robustprune.pruning import CompressionConfig
+from robustprune.pruning import CompressionConfig, prune_epoch
 from robustprune.tensor import Tensor
 
 
@@ -175,6 +180,32 @@ def test_rates_only_keeps_initial_scores():
         assert np.array_equal(exp, layer.scores.values)
 
 
+def test_prune_diverges_on_first_nonfinite_batch_without_update():
+    net = build_network("mlp-small", (1, 8, 8), 2, seed=3)
+    comp = CompressionConfig(k_t=0.5, k_init=0.9)
+    init_pruning_state(net, comp)
+    net.layers[0].params.values[:] = np.nan
+    scores = [l.scores.values.copy() for l in net.layers]
+    quotas = [l.quota.values.copy() for l in net.layers]
+    train, _ = ingest(tiny_cfg().dataset, 3)
+    served = []
+
+    def batches():
+        for b in train.batches(32):
+            served.append(len(b[1]))
+            yield b
+
+    score_opt, rate_opt = SgdState(0.1, 0.9), SgdState(0.1, 0.9)
+    with pytest.raises(DivergenceError, match="prune"):
+        prune_epoch(net, comp, 0.1, RobustLossConfig(), AttackConfig(8 / 255, 2 / 255, 2),
+                    batches(), score_opt, rate_opt, np.random.default_rng(0))
+    assert len(served) == 1
+    assert score_opt.velocity == [] and rate_opt.velocity == []
+    for layer, s, q in zip(net.layers, scores, quotas):
+        assert np.array_equal(layer.scores.values, s) and np.array_equal(layer.quota.values, q)
+        assert layer.scores.grad is None and layer.quota.grad is None
+
+
 def test_channel_prune_ties_shortcut_quota():
     cfg = tiny_cfg(arch="resnet-tiny", epochs=(1, 2, 0), k_t=0.5)
     cfg.dataset["size"] = 8
@@ -234,6 +265,86 @@ def test_config_hash_stable_and_sensitive():
     c = tiny_cfg(seed=2)
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+
+
+def test_config_hash_golden():
+    assert RunConfig(seed=3).config_hash() == "562e26af6101fba8"
+    assert config_from_dict({"seed": 1}).config_hash() == "592801be310bfeea"
+    cfg = tiny_cfg(seed=4)
+    assert config_from_dict(cfg.to_dict()).config_hash() == cfg.config_hash()
+
+
+@pytest.mark.parametrize("tree, key", [
+    ({"compression": {"kt": 0.5}}, "compression.kt"),
+    ({"epochs": 3}, "epochs"),
+    ({"opt": {"scores": {"lr": 0.1, "nesterov": 1}}}, "opt.scores.nesterov"),
+    ({"dataset": {"nn": 100}}, "dataset.nn"),
+    ({"attack": {"bounds": 1}}, "attack.bounds"),
+])
+def test_config_rejects_unknown_key(tree, key):
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        config_from_dict({"seed": 1, **tree})
+
+
+def test_config_values_cast_to_default_type():
+    cfg = config_from_dict({"seed": "2", "batch_size": 32.0, "compression": {"k_init": 1},
+                            "dataset": {"noise": 0}})
+    assert cfg.seed == 2 and type(cfg.batch_size) is int
+    assert type(cfg.compression.k_init) is float and type(cfg.dataset["noise"]) is float
+    with pytest.raises(ConfigError, match="stages.prune_epochs"):
+        config_from_dict({"seed": 1, "stages": {"prune_epochs": "many"}})
+    with pytest.raises(ConfigError, match="'stages' must be a section"):
+        config_from_dict({"seed": 1, "stages": 3})
+
+
+def test_partial_dataset_section_merges_over_defaults():
+    cfg = config_from_dict({"seed": 1, "dataset": {"n": 100}})
+    assert cfg.dataset == {**RunConfig(seed=1).dataset, "n": 100}
+    train, test = ingest(cfg.dataset, cfg.seed)
+    assert len(train) + len(test) == 100
+    csv_cfg = config_from_dict({"seed": 1, "dataset": {"kind": "csv", "path": "rows.csv"}})
+    assert csv_cfg.dataset["path"] == "rows.csv" and csv_cfg.dataset["size"] == 16
+
+
+def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "typo.cfg"
+    path.write_text("compression.kt = 0.5\n")
+    assert cli.main(["run", "--config", str(path), "--seed", "1", "--out", str(tmp_path)]) == 2
+    assert "compression.kt" in capsys.readouterr().err
+
+
+# flag -> (config key, a non-default value), written out independently of cli.OVERRIDES
+CLI_FLAGS = {
+    "--arch": ("arch", "resnet-tiny"),
+    "--method": ("method", "rates-only"),
+    "--k-t": ("compression.k_t", 0.3),
+    "--k-init": ("compression.k_init", 0.5),
+    "--gamma-step": ("compression.gamma_step", 0.02),
+    "--granularity": ("compression.granularity", "channel"),
+    "--budget": ("compression.budget", "flops"),
+    "--epochs-pretrain": ("stages.pretrain_epochs", 4),
+    "--epochs-prune": ("stages.prune_epochs", 5),
+    "--epochs-finetune": ("stages.finetune_epochs", 6),
+    "--batch-size": ("batch_size", 16),
+    "--epsilon": ("attack.epsilon", 0.05),
+    "--attack-step": ("attack.step_size", 0.01),
+    "--attack-iters": ("attack.iters", 3),
+    "--loss": ("loss.kind", "trades"),
+    "--beta": ("loss.beta", 2.5),
+}
+
+
+def test_every_cli_override_flag_sets_its_key():
+    assert set(cli.OVERRIDES) == set(CLI_FLAGS)
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser)
+    argv = ["--seed", "1"] + [s for flag, (_, v) in CLI_FLAGS.items() for s in (flag, str(v))]
+    tree = cli._build_config(parser.parse_args(argv)).to_dict()
+    for flag, (key, value) in CLI_FLAGS.items():
+        node = tree
+        for part in key.split("."):
+            node = node[part]
+        assert node == value and type(node) is type(value), flag
 
 
 # --- CLI ---

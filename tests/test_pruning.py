@@ -1,4 +1,4 @@
-"""Rate activation, initializers, percentile masks, budget losses, STE gradients."""
+"""Rate activation, initializers, top-fraction masks, budget losses, STE gradients."""
 
 import math
 
@@ -20,7 +20,6 @@ from robustprune.pruning import (
     init_rate,
     init_scores_channel,
     init_scores_weight,
-    percentile_threshold,
     ste_rate_grad,
     ste_score_grad,
     top_fraction_mask,
@@ -165,9 +164,9 @@ def test_percentile_mask_sorted_example():
 
 
 def test_percentile_alpha_zero_keeps_all():
-    scores = np.array([0.5, -1.0, 2.0])
-    assert percentile_threshold(0.0, scores) == -np.inf
-    assert np.array_equal(top_fraction_mask(scores, 1.0), np.ones(3))
+    # pruning fraction 0 (rate 1) keeps every entry, including -inf scores
+    scores = np.array([0.5, -1.0, 2.0, -np.inf])
+    assert np.array_equal(top_fraction_mask(scores, 1.0), np.ones(4))
 
 
 def test_percentile_tie_break_by_flat_index():
@@ -195,8 +194,8 @@ def test_percentile_mask_matches_brute_force(scores, rate):
 
 
 def test_empty_scores_rejected():
-    with pytest.raises(ValueError):
-        percentile_threshold(0.5, np.array([]))
+    with pytest.raises(ValueError, match="empty"):
+        top_fraction_mask(np.array([]), 0.5)
 
 
 def test_build_masks_cardinalities():

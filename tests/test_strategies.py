@@ -160,7 +160,7 @@ def test_lamp_single_layer_equals_magnitude_pruning():
     w = rng.normal(size=(10, 10))
     net = Network("mlp-small",
                   [PrunableLayer(LayerSpec("fc1", "fc", 10, 10), Tensor(w))],
-                  (10,), 10)
+                  (10,), 10, steps=[("fc1", "fc", None)])
     table = lamp_strategy(net, 0.4)
     kept = table.rows[0].preserved
     apply_strategy(net, table, [lamp_scores(w)])
@@ -175,7 +175,7 @@ def test_lamp_duplicated_layers_get_equal_rates():
         PrunableLayer(LayerSpec("a", "fc", 8, 8), Tensor(w.copy())),
         PrunableLayer(LayerSpec("b", "fc", 8, 8), Tensor(w.copy())),
     ]
-    net = Network("mlp-small", layers, (8,), 8)
+    net = Network("mlp-small", layers, (8,), 8, steps=[("a", "fc", 8), ("b", "fc", None)])
     table = lamp_strategy(net, 0.25)
     assert table.rows[0].preserved == table.rows[1].preserved
 
@@ -184,11 +184,11 @@ def test_lamp_rates_permutation_invariant():
     rng = np.random.default_rng(6)
     w = rng.normal(size=64)
     net1 = Network("mlp-small", [PrunableLayer(LayerSpec("a", "fc", 8, 8), Tensor(w.reshape(8, 8)))],
-                   (8,), 8)
+                   (8,), 8, steps=[("a", "fc", None)])
     shuffled = w.copy()
     rng.shuffle(shuffled)
     net2 = Network("mlp-small", [PrunableLayer(LayerSpec("a", "fc", 8, 8), Tensor(shuffled.reshape(8, 8)))],
-                   (8,), 8)
+                   (8,), 8, steps=[("a", "fc", None)])
     t1, t2 = lamp_strategy(net1, 0.3), lamp_strategy(net2, 0.3)
     assert t1.rows[0].rate == t2.rows[0].rate
 

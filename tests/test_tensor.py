@@ -5,19 +5,19 @@ import pytest
 
 import robustprune.tensor as T
 from robustprune.optim import CosineSchedule, SgdState, sgd_step
-from robustprune.tensor import Tensor, backward, forward_op
+from robustprune.tensor import Tensor, backward
 
 from helpers import finite_difference, grad_close, rel_err
 
 
 def test_relu_definition():
-    out = forward_op("relu", Tensor([-1.0, 0.0, 2.0]))
+    out = T.relu(Tensor([-1.0, 0.0, 2.0]))
     assert np.array_equal(out.values, [0.0, 0.0, 2.0])
 
 
 def test_add_identity():
     x = Tensor([[1.5, -2.0], [0.25, 3.0]])
-    out = forward_op("add", x, Tensor(np.zeros((2, 2))))
+    out = T.add(x, Tensor(np.zeros((2, 2))))
     assert np.array_equal(out.values, x.values)
 
 
@@ -25,16 +25,16 @@ def test_conv2d_hand_sum():
     # 3x3 ones kernel over a 3x3 ones input, no padding: single output of 9
     x = Tensor(np.ones((1, 1, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3)))
-    out = forward_op("conv2d", x, w)
+    out = T.conv2d(x, w)
     assert out.shape == (1, 1, 1, 1)
     assert out.values.item() == 9.0
 
 
 def test_shape_mismatch_names_op():
     with pytest.raises(T.ShapeError, match="matmul"):
-        forward_op("matmul", Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(T.ShapeError, match="conv2d"):
-        forward_op("conv2d", Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 1, 3, 3))))
+        T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 1, 3, 3))))
 
 
 def test_backward_square_sum():
@@ -187,11 +187,6 @@ def test_forward_determinism():
     l2, gx2, gw2 = build()
     assert l1 == l2
     assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
-
-
-def test_unknown_op_rejected():
-    with pytest.raises(ValueError, match="unknown op"):
-        forward_op("transpose", Tensor([1.0]))
 
 
 # --- SGD ---
