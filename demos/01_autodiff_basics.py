@@ -24,7 +24,7 @@ img = Tensor(rng.uniform(-1, 1, size=(1, 1, 6, 6)), requires_grad=True)
 kernel = Tensor(rng.uniform(-1, 1, size=(1, 2, 3, 3)), requires_grad=True)
 with T.scoped_tape():
     out = T.max_pool2d(T.relu(T.conv2d(img, kernel, padding=1)))
-    backward(T.tensor_mean(out))
+    backward(T.scale(T.tensor_sum(out), 1.0 / out.size))  # mean over all outputs
 print("conv kernel grad norm:", np.linalg.norm(kernel.grad))
 
 # A few steps of momentum SGD with a cosine schedule on a quadratic bowl.

@@ -3,7 +3,8 @@
 Layout: a JSON ``meta`` entry (architecture, stage tag, seed, config hash,
 RNG state, layer names) plus per-layer float64 arrays ``theta_i``,
 ``scores_i``, ``quota_i`` and ``mask_i``. Loading rebuilds the network and
-restores every array bit-exactly; other arrays in the file are ignored.
+restores every array bit-exactly, checking each weight and mask shape
+against the architecture; other arrays in the file are ignored.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, build_network
-from .tensor import Tensor
+from .network import Network, PrunableLayer, build_network
+from .tensor import ShapeError, Tensor
 
 FORMAT_VERSION = 1
+
+
+class CheckpointError(ValueError):
+    """Checkpoint file with a missing or misshapen array or an unsupported format."""
 
 
 @dataclass
@@ -37,19 +42,30 @@ class Checkpoint:
         return self.meta["config_hash"]
 
     def build(self) -> Network:
-        """Reconstruct the network with all stored parameters and masks."""
+        """Reconstruct the network; each weight and mask array passes the layer's shape check."""
         net = build_network(
             self.meta["arch"], tuple(self.meta["input_shape"]), self.meta["classes"],
             seed=self.meta["seed"],
         )
-        for i, layer in enumerate(net.layers):
-            layer.params = Tensor(self.arrays[f"theta_{i}"].copy(), requires_grad=True)
-            layer.mask = self.arrays[f"mask_{i}"].copy()
+        for i, spec in enumerate([l.spec for l in net.layers]):
+            key = f"theta_{i}"
+            try:
+                layer = PrunableLayer(spec, Tensor(self._array(key), requires_grad=True))
+                key = f"mask_{i}"
+                layer.set_mask(self._array(key))
+            except ShapeError as exc:
+                raise CheckpointError(f"checkpoint array {key}: {exc}") from exc
             if f"scores_{i}" in self.arrays:
-                layer.scores = Tensor(self.arrays[f"scores_{i}"].copy())
+                layer.scores = Tensor(self._array(f"scores_{i}"))
             if f"quota_{i}" in self.arrays:
-                layer.quota = Tensor(self.arrays[f"quota_{i}"].copy())
+                layer.quota = Tensor(self._array(f"quota_{i}"))
+            net.layers[i] = layer
         return net
+
+    def _array(self, key: str) -> np.ndarray:
+        if key not in self.arrays:
+            raise CheckpointError(f"checkpoint has no array {key}")
+        return self.arrays[key].copy()
 
 
 def save_checkpoint(path, net: Network, stage: str, seed: int, config_hash: str,
@@ -78,8 +94,11 @@ def save_checkpoint(path, net: Network, stage: str, seed: int, config_hash: str,
 
 def load_checkpoint(path) -> Checkpoint:
     with np.load(path, allow_pickle=False) as bundle:
+        if "meta" not in bundle.files:
+            raise CheckpointError(f"{path}: checkpoint has no array meta")
         meta = json.loads(str(bundle["meta"]))
         if meta.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}")
+            raise CheckpointError(f"{path}: unsupported checkpoint format_version "
+                                  f"{meta.get('format_version')!r}, expected {FORMAT_VERSION}")
         arrays = {k: bundle[k] for k in bundle.files if k != "meta"}
     return Checkpoint(meta, arrays)

@@ -1,7 +1,7 @@
 """Command-line interface for the pruning pipeline.
 
 Subcommands: pretrain, prune, finetune, run, eval, strategy, sweep.
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence.
+Exit codes: 0 success, 2 bad configuration, data or checkpoint, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import sys
 from pathlib import Path
 
 from .adversary import LOSS_KINDS, evaluate, metrics_to_csv
+from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, config_from_dict, parse_config_file, set_key
 from .data import DataFormatError, ingest
+from .network import flops
 from .pipeline import (
     DivergenceError,
     default_eval_attacks,
@@ -33,7 +35,6 @@ from .strategies import (
     erk_strategy,
     lamp_strategy,
     measure_strategy,
-    strategy_flops,
     uniform_strategy,
 )
 
@@ -154,7 +155,7 @@ def _cmd_strategy(args) -> int:
         table = measure_strategy(net)
         tables.append(table)
         path = out / f"strategy_{Path(ckpt_path).stem}.csv"
-        table.save_csv(path, strategy_flops(net, table))
+        table.save_csv(path, flops(net)[1])
         print(f"strategy exported to {path}")
     if args.baselines:
         net, _ = load_network(args.from_ckpt[0])
@@ -226,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DataFormatError, FileNotFoundError) as exc:
+    except (CheckpointError, ConfigError, DataFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

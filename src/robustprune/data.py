@@ -159,6 +159,7 @@ def ingest(descriptor: dict, seed: int = 0) -> tuple[Dataset, Dataset]:
 
     Descriptor keys: ``kind`` in {synthetic, csv, idx}; synthetic takes
     n/size/classes/noise, csv takes path, idx takes images/labels paths.
+    Loaded images must be ``size`` x ``size`` when the descriptor gives a size.
     ``test_fraction`` (default 0.2) controls the deterministic split.
     """
     kind = descriptor.get("kind")
@@ -178,4 +179,8 @@ def ingest(descriptor: dict, seed: int = 0) -> tuple[Dataset, Dataset]:
         inputs, labels = load_idx(Path(descriptor["images"]), Path(descriptor["labels"]), classes)
     else:
         raise DataFormatError(f"unknown dataset kind {kind!r}")
+    size = int(descriptor.get("size", inputs.shape[3]))
+    if inputs.shape[2:] != (size, size):
+        raise DataFormatError(f"{kind} images are {inputs.shape[2]}x{inputs.shape[3]}, "
+                              f"not dataset.size x dataset.size = {size}x{size}")
     return _split(inputs, labels, seed, test_fraction)

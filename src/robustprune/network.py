@@ -61,30 +61,28 @@ class PrunableLayer:
         self.params = params
         self.scores: Tensor | None = None
         self.quota: Tensor | None = None
-        self.mask = np.ones(spec.weight_shape)  # granularity-shaped, values in {0,1}
+        self.mask = np.ones(spec.weight_shape)  # one entry per weight or per input channel
 
-    def mask_broadcast(self) -> np.ndarray:
-        """Mask expanded to the full weight shape."""
-        return np.broadcast_to(self._mask_view(), self.spec.weight_shape)
-
-    def _mask_view(self) -> np.ndarray:
-        if self.mask.shape == self.spec.weight_shape:
-            return self.mask
-        # channel mask: (c_i,) broadcast over the remaining axes
-        return self.mask.reshape((self.spec.c_i,) + (1,) * (len(self.spec.weight_shape) - 1))
-
-    def set_channel_mask(self, mask: np.ndarray) -> None:
-        if mask.shape != (self.spec.c_i,):
-            raise T.ShapeError(f"{self.spec.name}: channel mask {mask.shape} != ({self.spec.c_i},)")
+    def set_mask(self, mask: np.ndarray) -> None:
+        """Install a {0,1} mask: weight-shaped, or one entry per input channel."""
+        if mask.shape not in (self.spec.weight_shape, (self.spec.c_i,)):
+            raise T.ShapeError(f"{self.spec.name}: mask {mask.shape} is neither the weight shape "
+                               f"{self.spec.weight_shape} nor ({self.spec.c_i},)")
         self.mask = mask
 
-    def set_weight_mask(self, mask: np.ndarray) -> None:
-        if mask.shape != self.spec.weight_shape:
-            raise T.ShapeError(f"{self.spec.name}: weight mask {mask.shape} != {self.spec.weight_shape}")
-        self.mask = mask
+    def broadcast_mask(self) -> np.ndarray:
+        """The mask as a read-only view of the weight shape."""
+        trailing = (1,) * (len(self.spec.weight_shape) - self.mask.ndim)
+        return np.broadcast_to(self.mask.reshape(self.mask.shape + trailing), self.spec.weight_shape)
+
+    def reduce_to_mask(self, values: np.ndarray) -> np.ndarray:
+        """Sum a weight-shaped array over the weights each mask entry covers."""
+        if self.mask.ndim == len(self.spec.weight_shape):
+            return values
+        return values.reshape(self.spec.c_i, -1).sum(axis=1)
 
     def preserved_count(self) -> int:
-        return int(np.count_nonzero(self.params.values * self.mask_broadcast()))
+        return int(np.count_nonzero(self.params.values * self.broadcast_mask()))
 
 
 # Markers between the prunable layers of a step list.
@@ -164,7 +162,7 @@ class Network:
         # pruning stage can read d(loss)/d(theta_hat) after backward
         self.last_theta_hat: list[Tensor | None] = [None] * len(layers)
 
-    def forward(self, x: Tensor, masked: bool = True) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         expected = int(np.prod(self.input_shape))
         if x.values.ndim < 2 or int(np.prod(x.shape[1:])) != expected:
             raise T.ShapeError(
@@ -187,21 +185,17 @@ class Network:
                 if spec.kind == "fc":
                     if h.values.ndim > 2:
                         h = T.reshape(h, (h.shape[0], -1))
-                    h = T.matmul(h, self._weights(i, masked))
+                    h = T.matmul(h, self._weights(i))
                 elif spec.kind == "conv":
-                    h = T.conv2d(h, self._weights(i, masked), padding=spec.padding)
+                    h = T.conv2d(h, self._weights(i), padding=spec.padding)
                 else:
-                    h = T.add(h, T.conv2d(saved, self._weights(i, masked), padding=spec.padding))
+                    h = T.add(h, T.conv2d(saved, self._weights(i), padding=spec.padding))
                 i += 1
         return h
 
-    def _weights(self, idx: int, masked: bool) -> Tensor:
+    def _weights(self, idx: int) -> Tensor:
         layer = self.layers[idx]
-        if not masked:
-            self.last_theta_hat[idx] = None
-            return layer.params
-        m = Tensor(layer._mask_view())
-        theta_hat = T.mul(layer.params, m)
+        theta_hat = T.mul(layer.params, Tensor(layer.broadcast_mask()))
         self.last_theta_hat[idx] = theta_hat
         return theta_hat
 
@@ -233,19 +227,12 @@ def flops(net: Network, masks: list[np.ndarray] | None = None) -> tuple[float, l
 
     A channel counts as retained when any weight touching it survives the
     mask. Conv layers cost retained_ci * retained_co * k^2 * spatial_out^2;
-    fc layers cost retained_ci * retained_co.
+    fc layers cost retained_ci * retained_co. ``masks``, if given, are
+    weight-shaped and stand in for the installed ones.
     """
     per_layer = []
     for i, layer in enumerate(net.layers):
-        if masks is None:
-            m = layer.mask_broadcast()
-        else:
-            m = np.asarray(masks[i])
-            if m.shape != layer.spec.weight_shape:
-                m = np.broadcast_to(
-                    m.reshape((layer.spec.c_i,) + (1,) * (len(layer.spec.weight_shape) - 1)),
-                    layer.spec.weight_shape,
-                )
+        m = layer.broadcast_mask() if masks is None else masks[i]
         alive = (layer.params.values * m) != 0
         reduce_axes = tuple(range(1, alive.ndim))
         ci = int(np.any(alive, axis=reduce_axes).sum())

@@ -30,7 +30,6 @@ from .pruning import (
     init_scores_channel,
     init_scores_weight,
     prune_epoch,
-    retie_shortcut_quotas,
 )
 from .strategies import measure_strategy
 from .tensor import Tensor
@@ -88,7 +87,10 @@ class PruneHistory:
 
 
 def init_pruning_state(net: Network, comp: CompressionConfig, method: str = "harp") -> None:
-    """Initialize scores from the pre-trained weights and quotas at a uniform rate."""
+    """Initialize scores from the pre-trained weights and quotas at a uniform rate.
+
+    Every quota starts at the same value, so shortcut quotas start tied.
+    """
     k_init = comp.k_init
     if method == "scores-only":
         k_init = comp.k_t  # fixed uniform rates at the target
@@ -102,8 +104,6 @@ def init_pruning_state(net: Network, comp: CompressionConfig, method: str = "har
         else:
             layer.scores = Tensor(init_scores_channel(theta, layer.spec.fan_in))
         layer.quota = Tensor(np.asarray(r0))
-    if comp.granularity == "channel":
-        retie_shortcut_quotas(net)
     build_masks(net, comp.k_min)
 
 
@@ -219,7 +219,7 @@ def weight_histograms(net: Network, path, bins: int = 20) -> None:
         writer = csv.writer(fh)
         writer.writerow(["layer", "bin_lo", "bin_hi", "count"])
         for layer in net.layers:
-            masked = layer.params.values * layer.mask_broadcast()
+            masked = layer.params.values * layer.broadcast_mask()
             kept = masked[masked != 0]
             if kept.size == 0:
                 continue

@@ -156,10 +156,7 @@ def build_masks(net: Network, k_min: float) -> list[np.ndarray]:
             raise ValueError(f"{layer.spec.name}: scores/quota not initialized")
         rate = g_activation(float(layer.quota.values), k_min)
         mask = top_fraction_mask(layer.scores.values, rate)
-        if mask.shape == layer.spec.weight_shape:
-            layer.set_weight_mask(mask)
-        else:
-            layer.set_channel_mask(mask)
+        layer.set_mask(mask)
         masks.append(mask)
     return masks
 
@@ -186,18 +183,12 @@ def hw_loss_flops(current: float, full: float, k_t: float) -> float:
 # straight-through gradients
 
 
-def ste_score_grad(upstream: np.ndarray, theta: np.ndarray, granularity: str = "weight") -> np.ndarray:
-    """Pass d(loss)/d(masked theta) through the binarization onto the scores.
+def ste_score_grad(upstream: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Pass d(loss)/d(masked theta) through the binarization: upstream * theta per weight.
 
-    Weight granularity: elementwise upstream * theta. Channel granularity:
-    that product summed over every weight of the input channel.
+    A layer's ``reduce_to_mask`` sums it onto the scores of a coarser mask.
     """
-    prod = np.asarray(upstream) * np.asarray(theta)
-    if granularity == "weight":
-        return prod
-    if granularity == "channel":
-        return prod.reshape(prod.shape[0], -1).sum(axis=1)
-    raise ValueError(f"granularity must be one of {GRANULARITIES}")
+    return np.asarray(upstream) * np.asarray(theta)
 
 
 def ste_rate_grad(upstream: np.ndarray, theta: np.ndarray, r: float, k_min: float) -> float:
@@ -219,29 +210,25 @@ class PruneEpochStats:
 
 
 def budget_state(net: Network, cfg: CompressionConfig):
-    """Budget-loss value, its derivative per mask unit, and the realized rate."""
+    """Budget-loss value, its derivative per mask entry, and the realized rate.
+
+    The derivative sums each weight's unit cost over the weights a mask
+    entry covers: 1 per non-zero weight for the parameter count, and the
+    multiply-accumulates per weight (spatial_out^2 for convs) for FLOPs.
+    """
     if cfg.budget == "param-count":
-        preserved, _ = count_preserved(net)
-        loss = hw_loss_count(preserved, net.total_params, cfg.k_t)
-        over = preserved > cfg.k_t * net.total_params
-        dloss = 1.0 / (cfg.k_t * net.total_params) if over else 0.0
-        unit_grads = []
-        for layer in net.layers:
-            alive = (layer.params.values != 0).astype(np.float64)
-            if cfg.granularity == "channel":
-                alive = alive.reshape(alive.shape[0], -1).sum(axis=1)
-            unit_grads.append(dloss * alive)
-        rate = preserved / net.total_params
-        return loss, unit_grads, rate
-    current, per_layer = flops(net)
-    full, _ = flops(net, [np.ones(l.spec.weight_shape) for l in net.layers])
-    loss = hw_loss_flops(current, full, cfg.k_t)
+        current, _ = count_preserved(net)
+        full = net.total_params
+        loss = hw_loss_count(current, full, cfg.k_t)
+        unit_costs = [(l.params.values != 0).astype(np.float64) for l in net.layers]
+    else:
+        current, _ = flops(net)
+        full, _ = flops(net, [np.ones(l.spec.weight_shape) for l in net.layers])
+        loss = hw_loss_flops(current, full, cfg.k_t)
+        unit_costs = [np.full(l.spec.weight_shape, 1.0 if l.spec.kind == "fc" else
+                              float(l.spec.spatial_out**2)) for l in net.layers]
     dloss = 1.0 / (cfg.k_t * full) if current > cfg.k_t * full else 0.0
-    unit_grads = []
-    for layer in net.layers:
-        s = layer.spec
-        per_channel = s.c_o * (s.kernel**2 * s.spatial_out**2 if s.kind != "fc" else 1)
-        unit_grads.append(dloss * per_channel * np.ones(s.c_i))
+    unit_grads = [dloss * l.reduce_to_mask(c) for l, c in zip(net.layers, unit_costs)]
     return loss, unit_grads, current / full
 
 
@@ -287,12 +274,10 @@ def prune_epoch(
 
         scores, quotas = [], []
         for i, layer in enumerate(net.layers):
-            theta_hat = net.last_theta_hat[i]
-            upstream = theta_hat.grad if theta_hat is not None and theta_hat.grad is not None \
-                else np.zeros(layer.spec.weight_shape)
+            upstream = net.last_theta_hat[i].grad
             r = float(layer.quota.values)
             layer.scores.grad = (
-                ste_score_grad(upstream, layer.params.values, cfg.granularity)
+                layer.reduce_to_mask(ste_score_grad(upstream, layer.params.values))
                 + gamma * hw_unit[i]
             )
             rate_grad = ste_rate_grad(upstream, layer.params.values, r, cfg.k_min)

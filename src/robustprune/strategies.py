@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, flops
+from .network import Network
 from .pruning import _round_half_up, top_fraction_mask
 
 
@@ -172,10 +172,7 @@ def apply_strategy(net: Network, table: StrategyTable,
         else:
             raise ValueError(f"{layer.spec.name}: no scores available to rank connections")
         mask = top_fraction_mask(s, rate)
-        if mask.shape == layer.spec.weight_shape:
-            layer.set_weight_mask(mask)
-        else:
-            layer.set_channel_mask(mask)
+        layer.set_mask(mask)
         masks.append(mask)
     return masks
 
@@ -185,22 +182,10 @@ def measure_strategy(net: Network, source: str = "harp-learned") -> StrategyTabl
     rows = []
     for layer in net.layers:
         n = layer.spec.weight_count
-        kept = int(layer.mask_broadcast().sum())
+        kept = int(layer.broadcast_mask().sum())
         rows.append(StrategyRow(layer.spec.name, kept / n, kept))
     total = sum(r.preserved for r in rows)
     return StrategyTable(rows, total / net.total_params, source)
-
-
-def strategy_flops(net: Network, table: StrategyTable) -> list[float]:
-    """Per-layer FLOPs if the table's masks were installed (weight granularity)."""
-    saved = [l.mask for l in net.layers]
-    try:
-        apply_strategy(net, table, [np.abs(l.params.values) for l in net.layers])
-        _, per_layer = flops(net)
-    finally:
-        for l, m in zip(net.layers, saved):
-            l.mask = m
-    return per_layer
 
 
 def compare_tables(tables: list[StrategyTable], path) -> None:

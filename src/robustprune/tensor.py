@@ -182,31 +182,9 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.values))
-    out = Tensor(s)
-    _record(out, (a,), lambda g: (g * s * (1.0 - s),))
-    return out
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    out = Tensor(np.clip(a.values, lo, hi))
-    # subgradient: 1 inside and on the boundary, 0 outside
-    inside = (a.values >= lo) & (a.values <= hi)
-    _record(out, (a,), lambda g: (g * inside,))
-    return out
-
-
 def tensor_sum(a: Tensor) -> Tensor:
     out = Tensor(a.values.sum())
     _record(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
-    return out
-
-
-def tensor_mean(a: Tensor) -> Tensor:
-    n = a.size
-    out = Tensor(a.values.mean())
-    _record(out, (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
     return out
 
 

@@ -376,8 +376,8 @@ def test_criterion_10_channel_pruning(tmp_path):
     with T.no_grad():
         masked = net.forward(x).values
     for layer in net.layers:
-        layer.params.values *= layer.mask_broadcast()
-        layer.set_weight_mask(np.ones(layer.spec.weight_shape))
+        layer.params.values *= layer.broadcast_mask()
+        layer.set_mask(np.ones(layer.spec.weight_shape))
     with T.no_grad():
         overwritten = net.forward(x).values
     assert np.array_equal(masked, overwritten)

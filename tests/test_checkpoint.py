@@ -1,8 +1,12 @@
 """Checkpoint save/load bit-exactness."""
 
+import json
+
 import numpy as np
+import pytest
 
 import robustprune.tensor as T
+from robustprune import cli
 from robustprune.checkpoint import load_checkpoint, save_checkpoint
 from robustprune.network import build_network
 from robustprune.pruning import CompressionConfig
@@ -77,3 +81,32 @@ def test_checkpoint_rng_state_roundtrip(tmp_path):
     restored = np.random.default_rng()
     restored.bit_generator.state = ckpt.meta["rng_state"]
     assert np.array_equal(restored.normal(size=5), rng.normal(size=5))
+
+
+def _doctored(tmp_path, change):
+    """A valid mlp-small prune checkpoint with one array changed, dropped or added."""
+    net = build_network("mlp-small", (1, 8, 8), 2, seed=25)
+    init_pruning_state(net, CompressionConfig(k_t=0.5))
+    path = tmp_path / "good.npz"
+    save_checkpoint(path, net, "prune", seed=25, config_hash="w")
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    change(arrays)
+    doctored = tmp_path / "doctored.npz"
+    np.savez(doctored, **arrays)
+    return doctored
+
+
+@pytest.mark.parametrize("change,named", [
+    (lambda a: a.update(mask_1=np.ones(7)), "mask_1"),
+    (lambda a: a.update(theta_0=np.ones((3, 64))), "theta_0"),
+    (lambda a: a.pop("mask_2"), "mask_2"),
+    (lambda a: a.pop("meta"), "meta"),
+    (lambda a: a.update(meta=json.dumps({**json.loads(str(a["meta"])), "format_version": 99})),
+     "format_version"),
+], ids=["mask-shape", "weight-shape", "missing-array", "missing-meta", "format-version"])
+def test_cli_rejects_malformed_checkpoint(tmp_path, capsys, change, named):
+    path = _doctored(tmp_path, change)
+    assert cli.main(["eval", "--seed", "1", "--from", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from robustprune import cli
 from robustprune.data import (
     DataFormatError,
     Dataset,
@@ -132,3 +133,16 @@ def test_batches_shuffle_deterministic():
     b = [y.copy() for _, y in train.batches(16, np.random.default_rng(3))]
     for ya, yb in zip(a, b):
         assert np.array_equal(ya, yb)
+
+
+def test_cli_csv_image_size_mismatch_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    rows = [",".join(map(str, [i % 2, *rng.integers(0, 256, size=64)])) for i in range(40)]
+    data = tmp_path / "rows.csv"
+    data.write_text("\n".join(rows) + "\n")
+    config = tmp_path / "csv.cfg"  # 8x8 images, no dataset.size line: the default is 16
+    config.write_text(f"dataset.kind = csv\ndataset.path = {data}\n")
+    argv = ["run", "--config", str(config), "--seed", "1", "--arch", "mlp-small",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "dataset.size" in capsys.readouterr().err

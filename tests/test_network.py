@@ -104,20 +104,25 @@ def test_fan_in_convention():
 
 @pytest.mark.parametrize("arch", ["mlp-small", "conv-small", "resnet-tiny"])
 def test_all_ones_mask_is_identity(arch):
+    # all-ones masks of either shape leave the weights forward runs bit-identical
     rng = np.random.default_rng(4)
     net = build_network(arch, (1, 16, 16), 3, seed=4)
     x = _input(rng)
-    with T.no_grad():
-        masked = net.forward(x).values
-        plain = net.forward(x, masked=False).values
-    assert np.array_equal(masked, plain)
+    for mask_shape in (lambda s: s.weight_shape, lambda s: (s.c_i,)):
+        for layer in net.layers:
+            layer.set_mask(np.ones(mask_shape(layer.spec)))
+        with T.no_grad():
+            net.forward(x)
+        for theta_hat, layer in zip(net.last_theta_hat, net.layers):
+            masked, plain = theta_hat.values, layer.params.values
+            assert np.array_equal(masked, plain)
 
 
 def test_all_zero_masks_make_logits_constant():
     rng = np.random.default_rng(5)
     net = build_network("conv-small", (1, 16, 16), 2, seed=5)
     for layer in net.layers:
-        layer.set_weight_mask(np.zeros(layer.spec.weight_shape))
+        layer.set_mask(np.zeros(layer.spec.weight_shape))
     with T.no_grad():
         a = net.forward(_input(rng)).values
         b = net.forward(_input(rng)).values
@@ -131,10 +136,10 @@ def test_zeroed_weight_equals_zeroed_mask_entry():
     x = _input(rng)
     mask = np.ones(net.layers[1].spec.weight_shape)
     mask[3, 5, 1, 2] = 0.0
-    net.layers[1].set_weight_mask(mask)
+    net.layers[1].set_mask(mask)
     with T.no_grad():
         via_mask = net.forward(x).values
-    net.layers[1].set_weight_mask(np.ones_like(mask))
+    net.layers[1].set_mask(np.ones_like(mask))
     net.layers[1].params.values[3, 5, 1, 2] = 0.0
     with T.no_grad():
         via_theta = net.forward(x).values
@@ -144,6 +149,7 @@ def test_zeroed_weight_equals_zeroed_mask_entry():
 @pytest.mark.parametrize("arch,granularity", [
     ("conv-small", "weight"),
     ("resnet-tiny", "channel"),
+    ("mlp-small", "channel"),
 ])
 def test_masked_forward_equivalence_oracle(arch, granularity):
     # masked forward must be bit-identical to overwriting theta <- theta*mask
@@ -151,17 +157,17 @@ def test_masked_forward_equivalence_oracle(arch, granularity):
     net = build_network(arch, (1, 16, 16), 2, seed=7)
     for layer in net.layers:
         if granularity == "weight":
-            layer.set_weight_mask((rng.uniform(size=layer.spec.weight_shape) > 0.3).astype(float))
+            layer.set_mask((rng.uniform(size=layer.spec.weight_shape) > 0.3).astype(float))
         else:
             m = (rng.uniform(size=layer.spec.c_i) > 0.3).astype(float)
             m[0] = 1.0  # keep at least one channel alive
-            layer.set_channel_mask(m)
+            layer.set_mask(m)
     x = _input(rng)
     with T.no_grad():
         masked = net.forward(x).values
     for layer in net.layers:
-        layer.params.values *= layer.mask_broadcast()
-        layer.set_weight_mask(np.ones(layer.spec.weight_shape))
+        layer.params.values *= layer.broadcast_mask()
+        layer.set_mask(np.ones(layer.spec.weight_shape))
     with T.no_grad():
         overwritten = net.forward(x).values
     assert np.array_equal(masked, overwritten)
@@ -179,7 +185,7 @@ def test_count_preserved_half_masked():
     layer = net.layers[1]  # 64x32 = 2048 weights
     mask = np.ones(layer.spec.weight_shape)
     mask.ravel()[: mask.size // 2] = 0.0
-    layer.set_weight_mask(mask)
+    layer.set_mask(mask)
     _, per_layer = count_preserved(net)
     assert per_layer[1] == mask.size // 2
 
@@ -188,7 +194,7 @@ def test_count_preserved_channel_mask_broadcast():
     # 4x8x3x3 conv keeping 2 of 4 input channels -> 2*8*9 = 144 weights
     spec = LayerSpec("toy", "conv", 4, 8, kernel=3, spatial_out=4)
     toy = PrunableLayer(spec, Tensor(np.random.default_rng(0).normal(size=spec.weight_shape)))
-    toy.set_channel_mask(np.array([1.0, 0.0, 1.0, 0.0]))
+    toy.set_mask(np.array([1.0, 0.0, 1.0, 0.0]))
     assert toy.preserved_count() == 144
     assert toy.preserved_count() == brute_force_preserved(toy.params.values, toy.mask)
 
@@ -199,9 +205,9 @@ def test_count_preserved_matches_brute_force_randomized():
     for _ in range(100):
         for layer in net.layers:
             if rng.uniform() < 0.5:
-                layer.set_weight_mask((rng.uniform(size=layer.spec.weight_shape) > rng.uniform()).astype(float))
+                layer.set_mask((rng.uniform(size=layer.spec.weight_shape) > rng.uniform()).astype(float))
             else:
-                layer.set_channel_mask((rng.uniform(size=layer.spec.c_i) > rng.uniform()).astype(float))
+                layer.set_mask((rng.uniform(size=layer.spec.c_i) > rng.uniform()).astype(float))
         total, per_layer = count_preserved(net)
         expected = [brute_force_preserved(l.params.values, l.mask) for l in net.layers]
         assert per_layer == expected
@@ -228,7 +234,7 @@ def test_flops_halves_with_half_input_channels():
     _, before = flops(net)
     mask = np.ones(layer.spec.c_i)
     mask[: layer.spec.c_i // 2] = 0.0
-    layer.set_channel_mask(mask)
+    layer.set_mask(mask)
     _, after = flops(net)
     assert after[1] == pytest.approx(before[1] / 2)
 
@@ -238,7 +244,7 @@ def test_flops_monotone_in_mask_entries():
     net = build_network("conv-small", (1, 16, 16), 2, seed=13)
     masks = [(rng.uniform(size=l.spec.weight_shape) > 0.2).astype(float) for l in net.layers]
     for layer, m in zip(net.layers, masks):
-        layer.set_weight_mask(m)
+        layer.set_mask(m)
     total_before, _ = flops(net)
     for _ in range(50):
         li = rng.integers(len(masks))
@@ -247,7 +253,7 @@ def test_flops_monotone_in_mask_entries():
         if ones.size == 0:
             continue
         flat[rng.choice(ones)] = 0.0
-        net.layers[li].set_weight_mask(masks[li])
+        net.layers[li].set_mask(masks[li])
         total_after, _ = flops(net)
         assert total_after <= total_before
         total_before = total_after

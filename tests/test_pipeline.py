@@ -441,3 +441,19 @@ def test_histogram_counts_match_preserved(tmp_path, tiny_run):
     _, per_layer = count_preserved(net)
     for layer, count in zip(net.layers, per_layer):
         assert totals.get(layer.spec.name, 0) == count
+
+
+def test_cli_strategy_reports_run_flops_for_channel_masks(tmp_path):
+    cfg = _write_tiny_dataset_cfg(tmp_path)
+    out = tmp_path / "chan"
+    argv = ["--config", str(cfg), "--seed", "5", "--out", str(out), "--arch", "conv-small",
+            "--granularity", "channel", "--k-t", "0.3", "--k-init", "0.5",
+            "--epochs-pretrain", "1", "--epochs-prune", "1", "--epochs-finetune", "0",
+            "--attack-iters", "1", "--batch-size", "64"]
+    assert cli.main(["run", *argv]) == 0
+    assert cli.main(["strategy", *argv, "--from", str(out / "final.npz")]) == 0
+
+    def flops_column(path):
+        return [line.split(",")[3] for line in path.read_text().splitlines()]
+
+    assert flops_column(out / "strategy.csv") == flops_column(out / "strategy_final.csv")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustprune.network import build_network
+from robustprune.network import LayerSpec, PrunableLayer, build_network
 from robustprune.pruning import (
     CompressionConfig,
     GammaSchedule,
@@ -277,7 +277,9 @@ def test_ste_score_grad_channel_reduction():
     # one channel holding both weights: 1*3 + 2*4 = 11
     theta2 = np.array([1.0, 2.0]).reshape(1, 2, 1, 1)
     up2 = np.array([3.0, 4.0]).reshape(1, 2, 1, 1)
-    g = ste_score_grad(up2, theta2, granularity="channel")
+    layer = PrunableLayer(LayerSpec("toy", "conv", 1, 2, kernel=1), Tensor(theta2))
+    layer.set_mask(np.ones(1))
+    g = layer.reduce_to_mask(ste_score_grad(up2, theta2))
     assert g.shape == (1,)
     assert g[0] == 11.0
 

@@ -279,7 +279,7 @@ def test_measured_table_roundtrips():
     rng = np.random.default_rng(14)
     net = _toy_net(seed=14)
     for layer in net.layers:
-        layer.set_weight_mask(top_fraction_mask(rng.normal(size=layer.spec.weight_shape), 0.17))
+        layer.set_mask(top_fraction_mask(rng.normal(size=layer.spec.weight_shape), 0.17))
     table = measure_strategy(net)
     scores = [rng.normal(size=l.spec.weight_shape) for l in net.layers]
     apply_strategy(net, table, scores)

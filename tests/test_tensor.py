@@ -71,14 +71,14 @@ def test_backward_linearity():
             terms = []
             if "square" in parts:
                 terms.append(T.tensor_sum(T.mul(x, x)))
-            if "sig" in parts:
-                terms.append(T.tensor_sum(T.sigmoid(x)))
+            if "relu" in parts:
+                terms.append(T.tensor_sum(T.relu(x)))
             loss = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
             backward(loss)
         return x.grad
 
-    combined = run({"square", "sig"})
-    assert np.allclose(combined, run({"square"}) + run({"sig"}), atol=1e-12)
+    combined = run({"square", "relu"})
+    assert np.allclose(combined, run({"square"}) + run({"relu"}), atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -108,16 +108,13 @@ def test_mlp_gradients_match_finite_differences(seed):
 
 
 @pytest.mark.parametrize("op,builder", [
-    ("sigmoid", lambda x: T.tensor_sum(T.sigmoid(x))),
     ("relu", lambda x: T.tensor_sum(T.mul(T.relu(x), x))),
-    ("mean", lambda x: T.tensor_mean(T.mul(x, x))),
-    ("clamp", lambda x: T.tensor_sum(T.mul(T.clamp(x, -1.0, 1.0), x))),
 ])
 def test_elementwise_gradients_match_fd(op, builder):
     rng = np.random.default_rng(hash(op) % 2**32)
     vals = rng.uniform(-2, 2, size=12)
-    # keep clamp/relu away from their kinks, where FD is one-sided
-    vals = vals[np.minimum(np.abs(vals - 1), np.minimum(np.abs(vals + 1), np.abs(vals))) > 1e-3]
+    # keep relu away from its kink, where FD is one-sided
+    vals = vals[np.abs(vals) > 1e-3]
     x = Tensor(vals, requires_grad=True)
     with T.scoped_tape():
         backward(builder(x))
@@ -179,7 +176,7 @@ def test_forward_determinism():
         x = Tensor(rng.uniform(-2, 2, size=(3, 2, 4, 4)), requires_grad=True)
         w = Tensor(rng.uniform(-2, 2, size=(2, 2, 3, 3)), requires_grad=True)
         with T.scoped_tape():
-            loss = T.tensor_mean(T.conv2d(x, w, padding=1))
+            loss = T.tensor_sum(T.conv2d(x, w, padding=1))
             backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()
 
