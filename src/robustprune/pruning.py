@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import AttackConfig, RobustLossConfig, robust_step
+from .adversary import AttackConfig, DivergenceError, RobustLossConfig, robust_step
 from .network import Network, count_preserved, flops
 from .optim import SgdState, sgd_step
 
@@ -86,16 +86,22 @@ def gamma_update(sched: GammaSchedule, epoch: int, hw_loss_value: float) -> floa
 # rate activation and initializers
 
 
+def _sigmoid(r: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-r))
+    except OverflowError:  # r below about -709: the limit, so the rate is k_min
+        return 0.0
+
+
 def g_activation(r: float, k_min: float) -> float:
     """Sigmoid squeezed into [k_min, 1]: the layer rate for a quota r."""
     if not 0.0 < k_min < 1.0:
         raise ValueError(f"k_min must be in (0, 1), got {k_min}")
-    sig = 1.0 / (1.0 + math.exp(-r))
-    return (1.0 - k_min) * sig + k_min
+    return (1.0 - k_min) * _sigmoid(r) + k_min
 
 
 def g_derivative(r: float, k_min: float) -> float:
-    sig = 1.0 / (1.0 + math.exp(-r))
+    sig = _sigmoid(r)
     return (1.0 - k_min) * sig * (1.0 - sig)
 
 
@@ -142,6 +148,8 @@ def top_fraction_mask(scores: np.ndarray, rate: float) -> np.ndarray:
     flat = np.asarray(scores, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("cannot rank an empty score array")
+    if not np.isfinite(flat).all():
+        raise ValueError("cannot rank non-finite scores")
     keep = min(max(1, _round_half_up(rate * flat.size)), flat.size)
     mask = np.zeros(flat.size)
     mask[np.argsort(-flat, kind="stable")[:keep]] = 1.0
@@ -149,13 +157,15 @@ def top_fraction_mask(scores: np.ndarray, rate: float) -> np.ndarray:
 
 
 def build_masks(net: Network, k_min: float) -> list[np.ndarray]:
-    """Rebuild every prunable layer's mask from its current quota and scores."""
+    """Rebuild every layer's mask from its quota and scores (DivergenceError if not finite)."""
     masks = []
     for layer in net.layers:
         if layer.scores is None or layer.quota is None:
             raise ValueError(f"{layer.spec.name}: scores/quota not initialized")
-        rate = g_activation(float(layer.quota.values), k_min)
-        mask = top_fraction_mask(layer.scores.values, rate)
+        quota = float(layer.quota.values)
+        if not (math.isfinite(quota) and np.isfinite(layer.scores.values).all()):
+            raise DivergenceError(f"{layer.spec.name}: scores or quota not finite")
+        mask = top_fraction_mask(layer.scores.values, g_activation(quota, k_min))
         layer.set_mask(mask)
         masks.append(mask)
     return masks

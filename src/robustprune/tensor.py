@@ -212,24 +212,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-_INDEX_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _conv_indices(h_out: int, w_out: int, k: int):
-    """Gather indices mapping padded input pixels to (k*k, h_out*w_out) patches."""
-    key = (h_out, w_out, k)
-    cached = _INDEX_CACHE.get(key)
-    if cached is None:
-        i0 = np.repeat(np.arange(k), k)
-        j0 = np.tile(np.arange(k), k)
-        i1 = np.repeat(np.arange(h_out), w_out)
-        j1 = np.tile(np.arange(w_out), h_out)
-        rows = i0.reshape(-1, 1) + i1.reshape(1, -1)
-        cols = j0.reshape(-1, 1) + j1.reshape(1, -1)
-        cached = _INDEX_CACHE[key] = (rows, cols)
-    return cached
-
-
 def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     """2D cross-correlation, stride 1.
 
@@ -253,11 +235,11 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
         xp = np.pad(x.values, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.values
-    rows, cols = _conv_indices(h_out, w_out, k)
     # patches: (batch, c_in * k*k, h_out*w_out); row index enumerates (c_in, a, b).
     # Contiguity matters: strided 3d operands knock matmul off the BLAS path.
-    patches = np.ascontiguousarray(
-        xp[:, :, rows, cols].reshape(batch, c_in * k * k, h_out * w_out)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    patches = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
+        batch, c_in * k * k, h_out * w_out
     )
     wmat = w.values.transpose(0, 2, 3, 1).reshape(c_in * k * k, c_out)
     out_vals = (wmat.T @ patches).reshape(batch, c_out, h_out, w_out)
@@ -274,13 +256,15 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
                 .transpose(0, 3, 1, 2)
             )
         if _needs_grad(x):
-            # patch gradients scattered back by shifted accumulation (col2im)
+            # col2im: shifted accumulation of patch gradients, each pixel summed in
+            # (a, b) order. Pixels lead so each add runs over batch*c_in values.
             dpatch = (wmat @ gmat).reshape(batch, c_in, k, k, h_out, w_out)
-            dxp = np.zeros((batch, c_in, h + 2 * padding, width + 2 * padding))
+            dpatch = dpatch.transpose(4, 5, 0, 1, 2, 3)
+            dxp = np.zeros((h + 2 * padding, width + 2 * padding, batch, c_in))
             for a in range(k):
                 for b in range(k):
-                    dxp[:, :, a : a + h_out, b : b + w_out] += dpatch[:, :, a, b]
-            dx = dxp[:, :, padding : padding + h, padding : padding + width] if padding else dxp
+                    dxp[a : a + h_out, b : b + w_out] += dpatch[..., a, b]
+            dx = dxp[padding : padding + h, padding : padding + width].transpose(2, 3, 0, 1)
         return (dx, dw)
 
     _record(out, (x, w), rule)
@@ -288,29 +272,29 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
 
 
 def max_pool2d(x: Tensor, window: int = 2) -> Tensor:
-    """Non-overlapping max pooling; ties route the gradient to the first max."""
+    """Non-overlapping max pooling; the first max takes the gradient, a NaN propagates."""
     if x.values.ndim != 4:
         raise ShapeError(f"max-pool: need 4d input, got {x.shape}")
     batch, c, h, w = x.shape
     if h % window or w % window:
         raise ShapeError(f"max-pool: input {x.shape} not divisible by window {window}")
-    ho, wo = h // window, w // window
-    tiles = x.values.reshape(batch, c, ho, window, wo, window)
-    out_vals = tiles.max(axis=(3, 5))
+    # Running max over the window slots in row-major order; the strict >
+    # keeps the first max as the winner, np.maximum carries NaN through.
+    out_vals = x.values[:, :, ::window, ::window].copy()
+    winner = np.zeros(out_vals.shape, np.min_scalar_type(window * window - 1))
+    for slot in range(1, window * window):
+        tile = x.values[:, :, slot // window :: window, slot % window :: window]
+        np.copyto(winner, slot, where=tile > out_vals)
+        np.maximum(out_vals, tile, out=out_vals)
     out = Tensor(out_vals)
 
     def rule(g):
-        winners = tiles == out_vals[:, :, :, None, :, None]
-        # first max in each window wins on ties
-        flat = winners.transpose(0, 1, 2, 4, 3, 5).reshape(batch, c, ho, wo, window * window)
-        first = flat.argmax(axis=-1)
-        routed = np.zeros_like(flat, dtype=np.float64)
-        np.put_along_axis(routed, first[..., None], g.reshape(batch, c, ho, wo, 1), axis=-1)
-        dx = (
-            routed.reshape(batch, c, ho, wo, window, window)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(batch, c, h, w)
-        )
+        # flat index of each window's winner in x: window corner plus slot offset
+        corner = (np.arange(batch * c).reshape(batch, c, 1, 1) * (h * w)
+                  + np.arange(0, h, window)[:, None] * w + np.arange(0, w, window))
+        offset = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
+        dx = np.zeros((batch, c, h, w))
+        dx.ravel()[(corner + offset[winner]).ravel()] = g.ravel()
         return (dx,)
 
     _record(out, (x,), rule)

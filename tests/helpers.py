@@ -113,3 +113,64 @@ def train_batches(n: int, rng: np.random.Generator, size: int = 8, classes: int 
     x = rng.uniform(0, 1, size=(n, 1, size, size))
     y = rng.integers(0, classes, size=n)
     return x, y
+
+
+def conv2d_reference(x: np.ndarray, w: np.ndarray, padding: int, g: np.ndarray):
+    """The fancy-index im2col conv2d with a (batch, c_in, ...) col2im loop.
+
+    Returns (out, dx, dw) for output gradient ``g``. Kept as the bit-exact
+    reference for ``tensor.conv2d``: same patch matrix, same BLAS calls,
+    same per-element add order.
+    """
+    batch, c_in, h, width = x.shape
+    _, c_out, k, _ = w.shape
+    h_out = h + 2 * padding - k + 1
+    w_out = width + 2 * padding - k + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    i0 = np.repeat(np.arange(k), k)
+    j0 = np.tile(np.arange(k), k)
+    i1 = np.repeat(np.arange(h_out), w_out)
+    j1 = np.tile(np.arange(w_out), h_out)
+    rows = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    cols = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    patches = np.ascontiguousarray(
+        xp[:, :, rows, cols].reshape(batch, c_in * k * k, h_out * w_out)
+    )
+    wmat = w.transpose(0, 2, 3, 1).reshape(c_in * k * k, c_out)
+    out = (wmat.T @ patches).reshape(batch, c_out, h_out, w_out)
+    gmat = np.ascontiguousarray(g).reshape(batch, c_out, h_out * w_out)
+    dw = (
+        np.tensordot(patches, gmat, axes=([0, 2], [0, 2]))
+        .reshape(c_in, k, k, c_out)
+        .transpose(0, 3, 1, 2)
+    )
+    dpatch = (wmat @ gmat).reshape(batch, c_in, k, k, h_out, w_out)
+    dxp = np.zeros((batch, c_in, h + 2 * padding, width + 2 * padding))
+    for a in range(k):
+        for b in range(k):
+            dxp[:, :, a : a + h_out, b : b + w_out] += dpatch[:, :, a, b]
+    dx = dxp[:, :, padding : padding + h, padding : padding + width] if padding else dxp
+    return out, dx, dw
+
+
+def max_pool2d_reference(x: np.ndarray, window: int, g: np.ndarray):
+    """Two-axis tile max; backward recomputes winners, first max wins ties.
+
+    Returns (out, dx) for output gradient ``g``; the bit-exact reference for
+    ``tensor.max_pool2d``.
+    """
+    batch, c, h, w = x.shape
+    ho, wo = h // window, w // window
+    tiles = x.reshape(batch, c, ho, window, wo, window)
+    out = tiles.max(axis=(3, 5))
+    winners = tiles == out[:, :, :, None, :, None]
+    flat = winners.transpose(0, 1, 2, 4, 3, 5).reshape(batch, c, ho, wo, window * window)
+    first = flat.argmax(axis=-1)
+    routed = np.zeros_like(flat, dtype=np.float64)
+    np.put_along_axis(routed, first[..., None], g.reshape(batch, c, ho, wo, 1), axis=-1)
+    dx = (
+        routed.reshape(batch, c, ho, wo, window, window)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(batch, c, h, w)
+    )
+    return out, dx

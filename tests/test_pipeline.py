@@ -11,7 +11,7 @@ import pytest
 import robustprune.tensor as T
 from robustprune import cli
 from robustprune.adversary import AttackConfig, RobustLossConfig, evaluate
-from robustprune.checkpoint import load_checkpoint
+from robustprune.checkpoint import load_checkpoint, save_checkpoint
 from robustprune.config import (
     ConfigError,
     RunConfig,
@@ -425,6 +425,17 @@ def test_cli_arch_mismatch_is_config_error(tmp_path):
                "--from", str(out / "pretrain.npz"), "--arch", "conv-small",
                *[a for a in CLI_DATA if a not in ("--arch", "mlp-small")])
     assert res.returncode == 2
+
+
+def test_cli_prune_exits_3_naming_layer_with_non_finite_scores(tmp_path, capsys):
+    cfg = _write_tiny_dataset_cfg(tmp_path)
+    net = build_network("mlp-small", (1, 8, 8), 2, seed=4)
+    net.layers[1].params.values[0, 0] = np.nan  # fc2's scores start from its weights
+    save_checkpoint(tmp_path / "pretrain.npz", net, "pretrain", seed=4, config_hash="x")
+    assert cli.main(["prune", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path),
+                     "--from", str(tmp_path / "pretrain.npz"), *CLI_DATA]) == 3
+    err = capsys.readouterr().err
+    assert "fc2: scores or quota not finite" in err and "Traceback" not in err
 
 
 def test_histogram_counts_match_preserved(tmp_path, tiny_run):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustprune.adversary import DivergenceError
 from robustprune.network import LayerSpec, PrunableLayer, build_network
 from robustprune.pruning import (
     CompressionConfig,
@@ -57,6 +58,17 @@ def test_g_derivative_matches_finite_difference():
     for r in np.linspace(-4, 4, 17):
         fd = (g_activation(r + h, 0.01) - g_activation(r - h, 0.01)) / (2 * h)
         assert rel_err(g_derivative(r, 0.01), fd) < 1e-8
+
+
+def test_g_limits_where_exp_overflows():
+    # math.exp(-r) overflows for r below about -709; the limits come back instead
+    k_min = 0.001
+    assert g_activation(-1000.0, k_min) == k_min
+    assert g_derivative(-1000.0, k_min) == 0.0
+    assert g_activation(1000.0, k_min) == 1.0
+    assert g_derivative(1000.0, k_min) == 0.0
+    # just inside the float range the formula itself still runs
+    assert g_derivative(-709.0, k_min) > 0.0
 
 
 def test_g_derivative_saturates():
@@ -164,8 +176,8 @@ def test_percentile_mask_sorted_example():
 
 
 def test_percentile_alpha_zero_keeps_all():
-    # pruning fraction 0 (rate 1) keeps every entry, including -inf scores
-    scores = np.array([0.5, -1.0, 2.0, -np.inf])
+    # pruning fraction 0 (rate 1) keeps every entry, including the lowest float
+    scores = np.array([0.5, -1.0, 2.0, -np.finfo(np.float64).max])
     assert np.array_equal(top_fraction_mask(scores, 1.0), np.ones(4))
 
 
@@ -220,6 +232,26 @@ def test_build_masks_cardinalities():
     for layer in net.layers:
         expect = brute_force_mask(layer.scores.values, layer.mask.sum() / layer.spec.weight_count)
         assert np.array_equal(layer.mask, expect)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_rejected(bad):
+    scores = np.array([0.5, -1.0, 2.0, 1.5])
+    scores[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        top_fraction_mask(scores, 1.0)
+
+
+@pytest.mark.parametrize("where", ["scores", "quota"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_masks_names_layer_with_non_finite_state(where, bad):
+    net = build_network("mlp-small", (1, 8, 8), 2, seed=3)
+    for layer in net.layers:
+        layer.scores = Tensor(np.ones(layer.spec.weight_shape))
+        layer.quota = Tensor(np.asarray(0.0))
+    getattr(net.layers[1], where).values.flat[0] = bad
+    with pytest.raises(DivergenceError, match="fc2"):
+        build_masks(net, 0.01)
 
 
 def test_build_masks_thousand_weight_floor_example():

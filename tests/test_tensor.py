@@ -7,7 +7,8 @@ import robustprune.tensor as T
 from robustprune.optim import CosineSchedule, SgdState, sgd_step
 from robustprune.tensor import Tensor, backward
 
-from helpers import finite_difference, grad_close, rel_err
+from helpers import (conv2d_reference, finite_difference, grad_close, max_pool2d_reference,
+                     rel_err)
 
 
 def test_relu_definition():
@@ -148,6 +149,63 @@ def test_conv_and_pool_gradients_match_fd():
     fd_w = finite_difference(lambda v: run(x, v, record=False)[0], w.copy())
     assert grad_close(gx, fd_x)
     assert grad_close(gw, fd_w)
+
+
+def _run_op(op, x, g, *params):
+    """Forward values and the gradients of sum(out * g) w.r.t. ``x`` and ``params``."""
+    xt = Tensor(x, requires_grad=True)
+    pts = [Tensor(p, requires_grad=True) for p in params]
+    with T.scoped_tape():
+        out = op(xt, *pts)
+        backward(T.tensor_sum(T.mul(out, Tensor(g))))
+    return (out.values, xt.grad) + tuple(p.grad for p in pts)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,padding", [
+    ((3, 4, 8, 8), (4, 5, 3, 3), 1),     # k=3, padding 1 (every conv-small layer)
+    ((3, 4, 8, 8), (4, 5, 3, 3), 0),     # k=3, no padding
+    ((4, 6, 8, 8), (6, 6, 1, 1), 0),     # the 1x1 shortcut conv
+    ((1, 1, 5, 9), (1, 3, 3, 3), 1),     # c_in=1, batch 1, non-square
+    ((2, 3, 7, 4), (3, 2, 3, 3), 0),     # non-square, no padding
+])
+def test_conv2d_bit_exact_against_reference(x_shape, w_shape, padding):
+    rng = np.random.default_rng(sum(x_shape) + padding)
+    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    out_shape = (x_shape[0], w_shape[1], x_shape[2] + 2 * padding - w_shape[2] + 1,
+                 x_shape[3] + 2 * padding - w_shape[2] + 1)
+    g = rng.normal(size=out_shape)
+    got = _run_op(lambda xt, wt: T.conv2d(xt, wt, padding=padding), x, g, w)
+    want = conv2d_reference(x, w, padding, g)
+    for name, a, b in zip(("out", "dx", "dw"), got, want):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("window", [2, 4])
+@pytest.mark.parametrize("kind", ["normal", "rounded", "constant", "relu"])
+def test_max_pool2d_bit_exact_against_reference(window, kind):
+    rng = np.random.default_rng(window)
+    x = rng.normal(size=(3, 2, 8, 12))
+    # rounded and constant inputs put many equal values in one window
+    x = {"normal": x, "rounded": np.round(x), "constant": np.full_like(x, 0.5),
+         "relu": np.maximum(x, 0.0)}[kind]
+    g = rng.normal(size=(3, 2, 8 // window, 12 // window))
+    got = _run_op(lambda xt: T.max_pool2d(xt, window), x, g)
+    want = max_pool2d_reference(x, window, g)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("window", [2, 4])
+@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+def test_max_pool2d_non_finite_in_every_window_slot(window, special):
+    # A NaN anywhere in a window makes its output NaN, as numpy's max reduction does,
+    # so a diverged forward still reaches the loss check before backward.
+    rng = np.random.default_rng(7)
+    for slot in range(window * window):
+        x = rng.normal(size=(2, 3, window, 2 * window))
+        x[1, 2, slot // window, window + slot % window] = special
+        out = T.max_pool2d(Tensor(x), window).values
+        want = x.reshape(2, 3, 1, window, 2, window).max(axis=(3, 5))
+        assert np.array_equal(out, want, equal_nan=True), slot
 
 
 def test_kl_gradients_match_fd():
