@@ -13,14 +13,11 @@ from .pruning import (
     g_activation,
     g_derivative,
     gamma_update,
-    hw_loss_count,
-    hw_loss_flops,
+    hw_loss,
     init_rate,
     init_scores_channel,
     init_scores_weight,
     prune_epoch,
-    ste_rate_grad,
-    ste_score_grad,
     top_fraction_mask,
 )
 from .strategies import (

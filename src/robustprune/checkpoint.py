@@ -3,8 +3,9 @@
 Layout: a JSON ``meta`` entry (architecture, stage tag, seed, config hash,
 RNG state, layer names) plus per-layer float64 arrays ``theta_i``,
 ``scores_i``, ``quota_i`` and ``mask_i``. Loading rebuilds the network and
-restores every array bit-exactly, checking each weight and mask shape
-against the architecture; other arrays in the file are ignored.
+restores every array bit-exactly, checking that each is finite and each
+weight and mask shape against the architecture; other arrays in the file
+are ignored.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class Checkpoint:
         return self.meta["config_hash"]
 
     def build(self) -> Network:
-        """Reconstruct the network; each weight and mask array passes the layer's shape check."""
+        """Reconstruct the network; every array must be finite, every weight and mask
+        must pass the layer's shape check."""
         net = build_network(
             self.meta["arch"], tuple(self.meta["input_shape"]), self.meta["classes"],
             seed=self.meta["seed"],
@@ -65,6 +67,8 @@ class Checkpoint:
     def _array(self, key: str) -> np.ndarray:
         if key not in self.arrays:
             raise CheckpointError(f"checkpoint has no array {key}")
+        if not np.isfinite(self.arrays[key]).all():
+            raise CheckpointError(f"checkpoint array {key} is not finite")
         return self.arrays[key].copy()
 
 

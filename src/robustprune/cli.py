@@ -18,6 +18,7 @@ from .data import DataFormatError, ingest
 from .network import flops
 from .pipeline import (
     DivergenceError,
+    _input_shape,
     default_eval_attacks,
     load_network,
     run_all,
@@ -107,8 +108,7 @@ def _cmd_prune(args) -> int:
     cfg = _build_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    net, ckpt = load_network(args.from_ckpt)
-    _check_compat(cfg, ckpt)
+    net = _load_compatible(cfg, args.from_ckpt)
     train, _ = ingest(cfg.dataset, cfg.seed)
     _, history = stage_prune(cfg, net, train, out)
     arrived = history.arrival_epoch is not None
@@ -121,8 +121,7 @@ def _cmd_finetune(args) -> int:
     cfg = _build_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    net, ckpt = load_network(args.from_ckpt)
-    _check_compat(cfg, ckpt)
+    net = _load_compatible(cfg, args.from_ckpt)
     train, _ = ingest(cfg.dataset, cfg.seed)
     stage_finetune(cfg, net, train, out)
     print(f"final checkpoint written to {out / 'final.npz'}")
@@ -131,7 +130,7 @@ def _cmd_finetune(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _build_config(args)
-    net, _ = load_network(args.from_ckpt)
+    net = _load_compatible(cfg, args.from_ckpt)
     _, test = ingest(cfg.dataset, cfg.seed)
     rows = evaluate(net, test.inputs, test.labels, default_eval_attacks(cfg.attack))
     out = Path(args.out)
@@ -174,11 +173,16 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_compat(cfg, ckpt) -> None:
-    if ckpt.meta["arch"] != cfg.arch:
-        raise ConfigError(
-            f"checkpoint arch {ckpt.meta['arch']!r} does not match config arch {cfg.arch!r}"
-        )
+def _load_compatible(cfg, path):
+    """Build a checkpoint's network once its arch, input shape and classes match the config."""
+    net, ckpt = load_network(path)
+    for key, expected in (("arch", cfg.arch), ("input_shape", list(_input_shape(cfg))),
+                          ("classes", int(cfg.dataset.get("classes", 2)))):
+        if ckpt.meta[key] != expected:
+            raise ConfigError(
+                f"checkpoint {key} {ckpt.meta[key]!r} does not match config {key} {expected!r}"
+            )
+    return net
 
 
 def main(argv: list[str] | None = None) -> int:

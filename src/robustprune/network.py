@@ -49,9 +49,11 @@ class LayerSpec:
 class PrunableLayer:
     """Layer parameters plus the pruning state attached to them.
 
-    ``scores`` and ``quota`` are Tensors so the shared SGD machinery can
-    update them, but they never enter the autodiff tape: their gradients
-    are assigned explicitly by the straight-through rules.
+    The forward pass multiplies ``params`` by ``mask_tensor``, a tape leaf,
+    so after backward its gradient is d(loss)/d(theta * mask) * theta summed
+    over every forward of the loss: the straight-through gradient that
+    scores and quotas receive. ``scores`` and ``quota`` are Tensors so the
+    shared SGD machinery can update them, but they never enter the tape.
     """
 
     def __init__(self, spec: LayerSpec, params: Tensor):
@@ -61,14 +63,15 @@ class PrunableLayer:
         self.params = params
         self.scores: Tensor | None = None
         self.quota: Tensor | None = None
-        self.mask = np.ones(spec.weight_shape)  # one entry per weight or per input channel
+        self.set_mask(np.ones(spec.weight_shape))
 
     def set_mask(self, mask: np.ndarray) -> None:
         """Install a {0,1} mask: weight-shaped, or one entry per input channel."""
         if mask.shape not in (self.spec.weight_shape, (self.spec.c_i,)):
             raise T.ShapeError(f"{self.spec.name}: mask {mask.shape} is neither the weight shape "
                                f"{self.spec.weight_shape} nor ({self.spec.c_i},)")
-        self.mask = mask
+        self.mask = mask  # one entry per weight or per input channel
+        self.mask_tensor = Tensor(self.broadcast_mask())
 
     def broadcast_mask(self) -> np.ndarray:
         """The mask as a read-only view of the weight shape."""
@@ -158,9 +161,6 @@ class Network:
             raise ValueError(f"{arch}: layers {[l.spec.name for l in layers]} do not match "
                              f"the step list {[s.name for s in specs]}")
         self.total_params = sum(l.spec.weight_count for l in layers)
-        # set by forward(): the masked parameter tensor of each layer, so the
-        # pruning stage can read d(loss)/d(theta_hat) after backward
-        self.last_theta_hat: list[Tensor | None] = [None] * len(layers)
 
     def forward(self, x: Tensor) -> Tensor:
         expected = int(np.prod(self.input_shape))
@@ -181,23 +181,18 @@ class Network:
             elif step == SAVE:
                 saved = h
             else:
-                spec = self.layers[i].spec
-                if spec.kind == "fc":
+                layer = self.layers[i]
+                theta_hat = T.mul(layer.params, layer.mask_tensor)
+                if layer.spec.kind == "fc":
                     if h.values.ndim > 2:
                         h = T.reshape(h, (h.shape[0], -1))
-                    h = T.matmul(h, self._weights(i))
-                elif spec.kind == "conv":
-                    h = T.conv2d(h, self._weights(i), padding=spec.padding)
+                    h = T.matmul(h, theta_hat)
+                elif layer.spec.kind == "conv":
+                    h = T.conv2d(h, theta_hat, padding=layer.spec.padding)
                 else:
-                    h = T.add(h, T.conv2d(saved, self._weights(i), padding=spec.padding))
+                    h = T.add(h, T.conv2d(saved, theta_hat, padding=layer.spec.padding))
                 i += 1
         return h
-
-    def _weights(self, idx: int) -> Tensor:
-        layer = self.layers[idx]
-        theta_hat = T.mul(layer.params, Tensor(layer.broadcast_mask()))
-        self.last_theta_hat[idx] = theta_hat
-        return theta_hat
 
 
 def _init_params(spec: LayerSpec, rng: np.random.Generator) -> Tensor:

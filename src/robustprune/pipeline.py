@@ -40,11 +40,16 @@ def _stage_rng(seed: int, tag: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
+def _sgd(opt_cfg, epochs: int) -> SgdState:
+    """Momentum SGD whose learning rate follows a cosine over the stage's epochs."""
+    return SgdState(opt_cfg.lr, opt_cfg.momentum, opt_cfg.weight_decay,
+                    schedule=CosineSchedule(opt_cfg.lr, epochs))
+
+
 def _train_theta(net: Network, cfg: RunConfig, train: Dataset, epochs: int,
                  opt_cfg, rng: np.random.Generator, stage: str) -> None:
     """Train layer weights under the robust loss with frozen masks."""
-    opt = SgdState(opt_cfg.lr, opt_cfg.momentum, opt_cfg.weight_decay,
-                   schedule=CosineSchedule(opt_cfg.lr, epochs))
+    opt = _sgd(opt_cfg, epochs)
     params = [l.params for l in net.layers]
     for epoch in range(epochs):
         opt.set_epoch(epoch)
@@ -112,22 +117,18 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
     """Strategy search: optimize scores and quotas, weights frozen."""
     comp = cfg.compression
     init_pruning_state(net, comp, cfg.method)
-    learn_scores = cfg.method in ("harp", "scores-only")
-    learn_rates = cfg.method in ("harp", "rates-only")
     rng = _stage_rng(cfg.seed, "prune")
-    score_opt = SgdState(cfg.opt_scores.lr, cfg.opt_scores.momentum, cfg.opt_scores.weight_decay,
-                         schedule=CosineSchedule(cfg.opt_scores.lr, cfg.prune_epochs))
-    rate_opt = SgdState(cfg.opt_rates.lr, cfg.opt_rates.momentum, cfg.opt_rates.weight_decay,
-                        schedule=CosineSchedule(cfg.opt_rates.lr, cfg.prune_epochs))
+    epochs = cfg.prune_epochs
+    score_opt = _sgd(cfg.opt_scores, epochs) if cfg.method in ("harp", "scores-only") else None
+    rate_opt = _sgd(cfg.opt_rates, epochs) if cfg.method in ("harp", "rates-only") else None
     sched = GammaSchedule(step=comp.gamma_step)
     history = []
-    for epoch in range(1, cfg.prune_epochs + 1):
-        score_opt.set_epoch(epoch - 1)
-        rate_opt.set_epoch(epoch - 1)
+    for epoch in range(1, epochs + 1):
+        for opt in filter(None, (score_opt, rate_opt)):
+            opt.set_epoch(epoch - 1)
         gamma = sched.value(epoch)
         stats = prune_epoch(net, comp, gamma, cfg.loss, cfg.attack,
-                            train.batches(cfg.batch_size, rng), score_opt, rate_opt, rng,
-                            learn_scores=learn_scores, learn_rates=learn_rates)
+                            train.batches(cfg.batch_size, rng), score_opt, rate_opt, rng)
         gamma_update(sched, epoch, stats.hw_loss_mean)
         history.append({
             "epoch": epoch, "gamma": gamma, "robust_loss": stats.robust_loss_mean,

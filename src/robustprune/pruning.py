@@ -1,10 +1,10 @@
 """Learned compression: trainable per-layer rates and scores, top-fraction masks,
-straight-through gradients, the clamped global budget loss, and its schedule.
+the clamped global budget loss, and its schedule.
 
 Rates live in an unconstrained quota r per layer, squeezed into [k_min, 1]
 by a scaled sigmoid. Masks keep the top score fraction of each layer; the
-binarization is bypassed for gradients, which are assigned straight through
-to scores and quotas.
+binarization is bypassed for gradients: scores and quotas receive the
+gradient of the layer's mask tensor straight through.
 """
 
 from __future__ import annotations
@@ -172,39 +172,14 @@ def build_masks(net: Network, k_min: float) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# budget losses
+# budget loss
 
 
-def hw_loss_count(preserved: int, total: int, k_t: float) -> float:
-    """Clamped overshoot of the preserved-parameter budget."""
-    if total <= 0:
-        raise ValueError("total parameter count must be positive")
-    return max(preserved / (k_t * total) - 1.0, 0.0)
-
-
-def hw_loss_flops(current: float, full: float, k_t: float) -> float:
-    """Clamped overshoot of the FLOPs budget."""
+def hw_loss(current: float, full: float, k_t: float) -> float:
+    """Clamped overshoot of the budget: preserved parameters or FLOPs over k_t of the full count."""
     if full <= 0:
-        raise ValueError("full FLOPs must be positive")
+        raise ValueError(f"full parameter or FLOPs count must be positive, got {full}")
     return max(current / (k_t * full) - 1.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# straight-through gradients
-
-
-def ste_score_grad(upstream: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Pass d(loss)/d(masked theta) through the binarization: upstream * theta per weight.
-
-    A layer's ``reduce_to_mask`` sums it onto the scores of a coarser mask.
-    """
-    return np.asarray(upstream) * np.asarray(theta)
-
-
-def ste_rate_grad(upstream: np.ndarray, theta: np.ndarray, r: float, k_min: float) -> float:
-    """Layer-summed straight-through product times the rate activation slope."""
-    total = float((np.asarray(upstream) * np.asarray(theta)).sum())
-    return total * g_derivative(r, k_min)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +204,13 @@ def budget_state(net: Network, cfg: CompressionConfig):
     if cfg.budget == "param-count":
         current, _ = count_preserved(net)
         full = net.total_params
-        loss = hw_loss_count(current, full, cfg.k_t)
         unit_costs = [(l.params.values != 0).astype(np.float64) for l in net.layers]
     else:
         current, _ = flops(net)
         full, _ = flops(net, [np.ones(l.spec.weight_shape) for l in net.layers])
-        loss = hw_loss_flops(current, full, cfg.k_t)
         unit_costs = [np.full(l.spec.weight_shape, 1.0 if l.spec.kind == "fc" else
                               float(l.spec.spatial_out**2)) for l in net.layers]
+    loss = hw_loss(current, full, cfg.k_t)
     dloss = 1.0 / (cfg.k_t * full) if current > cfg.k_t * full else 0.0
     unit_grads = [dloss * l.reduce_to_mask(c) for l, c in zip(net.layers, unit_costs)]
     return loss, unit_grads, current / full
@@ -258,21 +232,23 @@ def prune_epoch(
     loss_cfg: RobustLossConfig,
     attack_cfg: AttackConfig,
     batches,
-    score_opt: SgdState,
-    rate_opt: SgdState,
+    score_opt: SgdState | None,
+    rate_opt: SgdState | None,
     rng: np.random.Generator,
-    learn_scores: bool = True,
-    learn_rates: bool = True,
 ) -> PruneEpochStats:
     """One epoch of optimizing scores and quotas on the joint objective.
 
     Layer weights stay frozen; masks are rebuilt from the current (quota,
-    scores) before every batch. Returns per-epoch means and the realized
-    global rate.
+    scores) before every batch. Each layer's straight-through gradient is
+    its mask tensor's gradient after the robust step. A ``None`` optimizer
+    leaves its tensors' values fixed, holding the last batch's gradients.
+    Returns per-epoch means and the realized global rate.
     """
     rob_losses = []
     hw_losses = []
     tie_channels = cfg.granularity == "channel"
+    scores = [l.scores for l in net.layers]
+    quotas = [l.quota for l in net.layers]
     for x, y in batches:
         if tie_channels:
             retie_shortcut_quotas(net)
@@ -282,30 +258,16 @@ def prune_epoch(
         rob_losses.append(robust_step(net, x, y, loss_cfg, attack_cfg, rng, "prune"))
         hw_losses.append(hw_value)
 
-        scores, quotas = [], []
-        for i, layer in enumerate(net.layers):
-            upstream = net.last_theta_hat[i].grad
-            r = float(layer.quota.values)
-            layer.scores.grad = (
-                layer.reduce_to_mask(ste_score_grad(upstream, layer.params.values))
-                + gamma * hw_unit[i]
-            )
-            rate_grad = ste_rate_grad(upstream, layer.params.values, r, cfg.k_min)
-            rate_grad += gamma * float(hw_unit[i].sum()) * g_derivative(r, cfg.k_min)
-            layer.quota.grad = np.asarray(rate_grad)
-            scores.append(layer.scores)
-            quotas.append(layer.quota)
-
-        if learn_scores:
+        for layer, unit in zip(net.layers, hw_unit):
+            ste = layer.mask_tensor.grad
+            slope = g_derivative(float(layer.quota.values), cfg.k_min)
+            layer.scores.grad = layer.reduce_to_mask(ste) + gamma * unit
+            layer.quota.grad = np.asarray(float(ste.sum()) * slope
+                                          + gamma * float(unit.sum()) * slope)
+        if score_opt is not None:
             sgd_step(score_opt, scores)
-        else:
-            for s in scores:
-                s.grad = None
-        if learn_rates:
+        if rate_opt is not None:
             sgd_step(rate_opt, quotas)
-        else:
-            for q in quotas:
-                q.grad = None
 
     if tie_channels:
         retie_shortcut_quotas(net)

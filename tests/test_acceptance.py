@@ -31,7 +31,7 @@ from robustprune.pruning import (
     budget_state,
     g_activation,
     g_derivative,
-    hw_loss_count,
+    hw_loss,
     init_rate,
     top_fraction_mask,
 )
@@ -171,7 +171,7 @@ def test_criterion_4_budget_clamp():
         total = int(rng.integers(1, 100_000))
         preserved = int(rng.integers(0, total + 1))
         k_t = float(rng.uniform(0.001, 1.0))
-        value = hw_loss_count(preserved, total, k_t)
+        value = hw_loss(preserved, total, k_t)
         if preserved <= k_t * total:
             assert value == 0.0
         else:

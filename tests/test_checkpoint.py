@@ -97,6 +97,14 @@ def _doctored(tmp_path, change):
     return doctored
 
 
+def _poisoned(key, value):
+    """A change that writes ``value`` into the first entry of array ``key``."""
+    def change(arrays):
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[0] = value
+    return change
+
+
 @pytest.mark.parametrize("change,named", [
     (lambda a: a.update(mask_1=np.ones(7)), "mask_1"),
     (lambda a: a.update(theta_0=np.ones((3, 64))), "theta_0"),
@@ -104,7 +112,12 @@ def _doctored(tmp_path, change):
     (lambda a: a.pop("meta"), "meta"),
     (lambda a: a.update(meta=json.dumps({**json.loads(str(a["meta"])), "format_version": 99})),
      "format_version"),
-], ids=["mask-shape", "weight-shape", "missing-array", "missing-meta", "format-version"])
+    (_poisoned("theta_1", np.nan), "theta_1 is not finite"),
+    (_poisoned("mask_0", np.inf), "mask_0 is not finite"),
+    (_poisoned("scores_2", -np.inf), "scores_2 is not finite"),
+    (_poisoned("quota_1", np.nan), "quota_1 is not finite"),
+], ids=["mask-shape", "weight-shape", "missing-array", "missing-meta", "format-version",
+        "nan-weight", "inf-mask", "inf-scores", "nan-quota"])
 def test_cli_rejects_malformed_checkpoint(tmp_path, capsys, change, named):
     path = _doctored(tmp_path, change)
     assert cli.main(["eval", "--seed", "1", "--from", str(path), "--out", str(tmp_path)]) == 2

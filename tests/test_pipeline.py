@@ -427,13 +427,40 @@ def test_cli_arch_mismatch_is_config_error(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["prune", "finetune", "eval"])
+def test_cli_checkpoint_input_shape_mismatch_exits_2(tmp_path, capsys, command):
+    cfg = _write_tiny_dataset_cfg(tmp_path)  # dataset.size 8
+    net = build_network("mlp-small", (1, 16, 16), 2, seed=4)
+    save_checkpoint(tmp_path / "c.npz", net, "prune", seed=4, config_hash="x")
+    assert cli.main([command, "--config", str(cfg), "--seed", "4", "--out", str(tmp_path),
+                     "--from", str(tmp_path / "c.npz"), *CLI_DATA]) == 2
+    err = capsys.readouterr().err
+    assert "input_shape [1, 16, 16]" in err and "input_shape [1, 8, 8]" in err
+    assert "Traceback" not in err
+
+
+def test_cli_checkpoint_classes_mismatch_exits_2(tmp_path, capsys):
+    cfg = _write_tiny_dataset_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("dataset.classes = 2", "dataset.classes = 3"))
+    net = build_network("mlp-small", (1, 8, 8), 2, seed=4)
+    save_checkpoint(tmp_path / "final.npz", net, "final", seed=4, config_hash="x")
+    assert cli.main(["eval", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path),
+                     "--from", str(tmp_path / "final.npz"), *CLI_DATA]) == 2
+    err = capsys.readouterr().err
+    assert "classes 2" in err and "classes 3" in err and "Traceback" not in err
+
+
 def test_cli_prune_exits_3_naming_layer_with_non_finite_scores(tmp_path, capsys):
     cfg = _write_tiny_dataset_cfg(tmp_path)
     net = build_network("mlp-small", (1, 8, 8), 2, seed=4)
-    net.layers[1].params.values[0, 0] = np.nan  # fc2's scores start from its weights
+    # finite weights whose channel sum overflows: fc2's first channel score is inf / inf
+    net.layers[1].params.values[0, :2] = np.finfo(np.float64).max
     save_checkpoint(tmp_path / "pretrain.npz", net, "pretrain", seed=4, config_hash="x")
-    assert cli.main(["prune", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path),
-                     "--from", str(tmp_path / "pretrain.npz"), *CLI_DATA]) == 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["prune", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path),
+                         "--from", str(tmp_path / "pretrain.npz"), "--granularity", "channel",
+                         *CLI_DATA])
+    assert code == 3
     err = capsys.readouterr().err
     assert "fc2: scores or quota not finite" in err and "Traceback" not in err
 

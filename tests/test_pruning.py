@@ -1,4 +1,4 @@
-"""Rate activation, initializers, top-fraction masks, budget losses, STE gradients."""
+"""Rate activation, initializers, top-fraction masks, budget loss, straight-through gradients."""
 
 import math
 
@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustprune.adversary import DivergenceError
-from robustprune.network import LayerSpec, PrunableLayer, build_network
+import robustprune.tensor as T
+from robustprune.adversary import AttackConfig, DivergenceError, RobustLossConfig, robust_step
+from robustprune.network import LayerSpec, Network, PrunableLayer, build_network
 from robustprune.pruning import (
     CompressionConfig,
     GammaSchedule,
@@ -16,13 +17,11 @@ from robustprune.pruning import (
     g_activation,
     g_derivative,
     gamma_update,
-    hw_loss_count,
-    hw_loss_flops,
+    hw_loss,
     init_rate,
     init_scores_channel,
     init_scores_weight,
-    ste_rate_grad,
-    ste_score_grad,
+    prune_epoch,
     top_fraction_mask,
 )
 from robustprune.tensor import Tensor
@@ -260,30 +259,30 @@ def test_build_masks_thousand_weight_floor_example():
     assert top_fraction_mask(scores, 0.01).sum() == 10
 
 
-# --- budget losses ---
+# --- budget loss ---
 
 
 def test_hw_loss_on_budget_is_zero():
-    assert hw_loss_count(10, 1000, 0.01) == 0.0
+    assert hw_loss(10, 1000, 0.01) == 0.0
 
 
 def test_hw_loss_overshoot_value():
-    assert hw_loss_count(20, 1000, 0.01) == pytest.approx(1.0)
+    assert hw_loss(20, 1000, 0.01) == pytest.approx(1.0)
 
 
 def test_hw_loss_under_budget_clamped():
-    assert hw_loss_count(3, 1000, 0.01) == 0.0
+    assert hw_loss(3, 1000, 0.01) == 0.0
 
 
 def test_hw_loss_flops_same_arithmetic():
-    assert hw_loss_flops(0.5 * 1000, 1000.0, 0.5) == 0.0
-    assert hw_loss_flops(2 * 0.5 * 1000, 1000.0, 0.5) == pytest.approx(1.0)
+    assert hw_loss(0.5 * 1000, 1000.0, 0.5) == 0.0
+    assert hw_loss(2 * 0.5 * 1000, 1000.0, 0.5) == pytest.approx(1.0)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 10_000), st.floats(0.001, 1.0))
 @settings(max_examples=200, deadline=None)
 def test_hw_loss_clamp_property(preserved, total, k_t):
-    value = hw_loss_count(preserved, total, k_t)
+    value = hw_loss(preserved, total, k_t)
     if preserved <= k_t * total:
         assert value == 0.0
     else:
@@ -291,48 +290,103 @@ def test_hw_loss_clamp_property(preserved, total, k_t):
 
 
 # --- straight-through gradients ---
+# A layer's mask tensor is a tape leaf: after backward its gradient is
+# d(loss)/d(theta * mask) * theta, whatever the mask holds.
+
+
+def _mask_grad(spec, theta, upstream, mask):
+    """The layer whose mask tensor took one backward with d(loss)/d(theta * mask) = upstream."""
+    layer = PrunableLayer(spec, Tensor(theta, requires_grad=True))
+    layer.set_mask(mask)
+    with T.scoped_tape():
+        theta_hat = T.mul(layer.params, layer.mask_tensor)
+        T.backward(T.tensor_sum(T.mul(theta_hat, Tensor(upstream))))
+    return layer
 
 
 def test_ste_score_grad_single_weight():
-    g = ste_score_grad(np.array([3.0]), np.array([2.0]))
-    assert g[0] == 6.0
+    layer = _mask_grad(LayerSpec("toy", "fc", 1, 1), np.array([[2.0]]), np.array([[3.0]]),
+                       np.ones((1, 1)))
+    assert layer.mask_tensor.grad[0, 0] == 6.0
 
 
 def test_ste_score_grad_zero_theta():
-    g = ste_score_grad(np.ones((3, 3)), np.zeros((3, 3)))
-    assert np.array_equal(g, np.zeros((3, 3)))
+    layer = _mask_grad(LayerSpec("toy", "fc", 3, 3), np.zeros((3, 3)), np.ones((3, 3)),
+                       np.ones((3, 3)))
+    assert np.array_equal(layer.mask_tensor.grad, np.zeros((3, 3)))
 
 
 def test_ste_score_grad_channel_reduction():
-    theta = np.array([[1.0], [2.0]]).reshape(1, 2, 1, 1).transpose(1, 0, 2, 3)
-    up = np.array([[3.0], [4.0]]).reshape(1, 2, 1, 1).transpose(1, 0, 2, 3)
-    # one channel holding both weights: 1*3 + 2*4 = 11
-    theta2 = np.array([1.0, 2.0]).reshape(1, 2, 1, 1)
-    up2 = np.array([3.0, 4.0]).reshape(1, 2, 1, 1)
-    layer = PrunableLayer(LayerSpec("toy", "conv", 1, 2, kernel=1), Tensor(theta2))
-    layer.set_mask(np.ones(1))
-    g = layer.reduce_to_mask(ste_score_grad(up2, theta2))
+    # one pruned channel holding both weights still receives 1*3 + 2*4 = 11
+    layer = _mask_grad(LayerSpec("toy", "conv", 1, 2, kernel=1),
+                       np.array([1.0, 2.0]).reshape(1, 2, 1, 1),
+                       np.array([3.0, 4.0]).reshape(1, 2, 1, 1), np.zeros(1))
+    g = layer.reduce_to_mask(layer.mask_tensor.grad)
     assert g.shape == (1,)
     assert g[0] == 11.0
 
 
+def _toy_prune_epoch(theta_row, x, k_t=1.0, gamma=0.0, quota=3.0):
+    """One prune_epoch batch, without optimizers, on a net of one fc layer: a single
+    input, one class per weight of ``theta_row``, label 0 and no attack.
+
+    Returns the layer and the closed-form straight-through gradient of the
+    cross-entropy, x * (softmax(x * theta) - onehot(0)) * theta per weight.
+    """
+    n = len(theta_row)
+    layer = PrunableLayer(LayerSpec("toy", "fc", 1, n), Tensor(np.array([theta_row]),
+                                                                requires_grad=True))
+    layer.scores = Tensor(np.ones((1, n)))
+    layer.quota = Tensor(np.asarray(quota))  # a rate that keeps every weight
+    net = Network("toy", [layer], (1,), n, steps=[("toy", "fc", None)])
+    batch = (np.array([[x]]), np.array([0]))
+    prune_epoch(net, CompressionConfig(k_t=k_t, k_init=0.5), gamma, RobustLossConfig(),
+                AttackConfig(0.0, 0.0, 1), [batch], None, None, np.random.default_rng(0))
+    assert layer.mask.sum() == n
+    logits = x * np.asarray(theta_row)
+    p = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+    return layer, x * (p - np.eye(n)[0]) * np.asarray(theta_row)
+
+
 def test_ste_rate_grad_composition():
-    # single weight theta=2, upstream=3, r=0, k_min=0: 6 * 0.25 = 1.5
-    g = ste_rate_grad(np.array([3.0]), np.array([2.0]), r=0.0, k_min=1e-12)
-    assert g == pytest.approx(1.5, rel=1e-9)
+    # the quota receives (straight-through sum + gamma * budget slope per weight) * g'(r);
+    # at k_t 0.5 both weights overshoot a budget of one by 1/(0.5 * 2) each
+    layer, ste = _toy_prune_epoch([2.0, -1.0], 1.0, k_t=0.5, gamma=0.5)
+    slope = g_derivative(3.0, 0.05)
+    assert layer.scores.grad == pytest.approx(ste[None, :] + 0.5, rel=1e-12)
+    assert float(layer.quota.grad) == pytest.approx((ste.sum() + 0.5 * 2) * slope, rel=1e-12)
 
 
 def test_ste_rate_grad_zero_upstream():
-    assert ste_rate_grad(np.zeros((4, 4)), np.ones((4, 4)), r=1.0, k_min=0.01) == 0.0
+    # a zero input gives the weights a zero upstream, so nothing passes through
+    layer, _ = _toy_prune_epoch([2.0, -1.0], 0.0)
+    assert float(layer.quota.grad) == 0.0
+    assert np.array_equal(layer.scores.grad, np.zeros((1, 2)))
 
 
 def test_ste_rate_grad_sign_follows_sum():
-    theta = np.array([1.0, -1.0, 2.0])
-    up = np.array([1.0, 1.0, 1.0])
-    pos = ste_rate_grad(up, theta, r=0.3, k_min=0.01)
-    neg = ste_rate_grad(-up, theta, r=0.3, k_min=0.01)
-    assert pos > 0 > neg
-    assert pos == pytest.approx(-neg)
+    pos_layer, pos = _toy_prune_epoch([-1.0, 2.0], 1.0)
+    neg_layer, neg = _toy_prune_epoch([-1.0, 2.0], -1.0)
+    assert pos.sum() > 0 > neg.sum()
+    assert float(pos_layer.quota.grad) > 0 > float(neg_layer.quota.grad)
+    for layer, ste in ((pos_layer, pos), (neg_layer, neg)):
+        assert float(layer.quota.grad) == pytest.approx(ste.sum() * g_derivative(3.0, 0.1),
+                                                        rel=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["mlp-small", "resnet-tiny"])
+@pytest.mark.parametrize("kind", ["trades", "pgd-at"])
+def test_mask_grad_is_straight_through_over_every_forward(kind, arch):
+    # under all-ones masks the oracle is d(loss)/d(theta) * theta; TRADES runs two
+    # differentiable forwards, natural and adversarial, and both must count
+    net = build_network(arch, (1, 8, 8), 2, seed=9)
+    rng = np.random.default_rng(9)
+    x, y = rng.uniform(0, 1, size=(16, 1, 8, 8)), rng.integers(0, 2, size=16)
+    robust_step(net, x, y, RobustLossConfig(kind), AttackConfig(8 / 255, 2 / 255, 2), rng, "test")
+    for layer in net.layers:
+        oracle = layer.params.grad * layer.params.values
+        np.testing.assert_allclose(layer.mask_tensor.grad, oracle, rtol=1e-12,
+                                   atol=1e-12 * np.abs(oracle).max(), err_msg=layer.spec.name)
 
 
 # --- gamma schedule ---
