@@ -97,21 +97,22 @@ SAVE = "save"  # keep the current activation as the input of the next shortcut
 # c_o None meaning the class count; c_i, spatial size and fc fan-in follow
 # from walking the list over the input shape. Conv steps are 3x3 with
 # padding 1; a shortcut-conv step is a 1x1 conv of the saved activation whose
-# output is added to the current one.
+# output is added to the current one. POOL precedes RELU: max is monotone, so values and
+# gradients equal those of RELU, POOL (up to the sign of zeros) at a quarter of relu's work.
 ARCHITECTURES = {
     "mlp-small": [("fc1", "fc", 64), RELU, ("fc2", "fc", 32), RELU, ("fc3", "fc", None)],
     "conv-small": [
-        ("conv1", "conv", 12), RELU, POOL,
-        ("conv2", "conv", 24), RELU, POOL,
+        ("conv1", "conv", 12), POOL, RELU,
+        ("conv2", "conv", 24), POOL, RELU,
         ("conv3", "conv", 24), RELU,
         ("fc1", "fc", 32), RELU,
         ("fc2", "fc", None),
     ],
     "resnet-tiny": [
-        ("conv1", "conv", 16), RELU, POOL, SAVE,
+        ("conv1", "conv", 16), POOL, RELU, SAVE,
         ("block.conv_a", "conv", 16), RELU,
         ("block.conv_b", "conv", 16),
-        ("block.shortcut", "shortcut-conv", 16), RELU, POOL,
+        ("block.shortcut", "shortcut-conv", 16), POOL, RELU,
         ("fc", "fc", None),
     ],
 }

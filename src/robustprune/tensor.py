@@ -231,10 +231,10 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     if h_out <= 0 or w_out <= 0:
         raise ShapeError(f"conv2d: kernel {k} too large for input {x.shape} with padding {padding}")
 
+    xp = x.values
     if padding:
-        xp = np.pad(x.values, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.values
+        xp = np.zeros((batch, c_in, h + 2 * padding, width + 2 * padding))
+        xp[:, :, padding : padding + h, padding : padding + width] = x.values
     # patches: (batch, c_in * k*k, h_out*w_out); row index enumerates (c_in, a, b).
     # Contiguity matters: strided 3d operands knock matmul off the BLAS path.
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
@@ -278,14 +278,18 @@ def max_pool2d(x: Tensor, window: int = 2) -> Tensor:
     batch, c, h, w = x.shape
     if h % window or w % window:
         raise ShapeError(f"max-pool: input {x.shape} not divisible by window {window}")
-    # Running max over the window slots in row-major order; the strict >
-    # keeps the first max as the winner, np.maximum carries NaN through.
-    out_vals = x.values[:, :, ::window, ::window].copy()
+    # Running max over a contiguous slot-major copy; np.maximum carries NaN through.
+    # Slot numbers rise, so raising the winner on each strict > keeps the first max.
+    ho, wo = h // window, w // window
+    slots = np.ascontiguousarray(x.values.reshape(batch, c, ho, window, wo, window)
+                                 .transpose(3, 5, 0, 1, 2, 4)).reshape(-1, batch, c, ho, wo)
+    out_vals = slots[0].copy()
     winner = np.zeros(out_vals.shape, np.min_scalar_type(window * window - 1))
+    beats = np.empty(out_vals.shape, bool)
     for slot in range(1, window * window):
-        tile = x.values[:, :, slot // window :: window, slot % window :: window]
-        np.copyto(winner, slot, where=tile > out_vals)
-        np.maximum(out_vals, tile, out=out_vals)
+        np.greater(slots[slot], out_vals, out=beats)
+        np.maximum(winner, beats.view(np.uint8) * winner.dtype.type(slot), out=winner)
+        np.maximum(out_vals, slots[slot], out=out_vals)
     out = Tensor(out_vals)
 
     def rule(g):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import robustprune.tensor as T
-from robustprune.network import LayerSpec, Network, PrunableLayer, build_network, count_preserved, flops
+from robustprune import adversary
+from robustprune.adversary import AttackConfig, RobustLossConfig, pgd, robust_step
+from robustprune.network import (POOL, RELU, SAVE, LayerSpec, Network, PrunableLayer, build_network,
+                                 count_preserved, flops)
 from robustprune.tensor import Tensor
 
 from helpers import brute_force_preserved, mac_count
@@ -86,6 +89,57 @@ def test_layers_must_match_the_step_list():
         Network("mlp-small", [layer], (4,), 2)
     net = Network("mlp-small", [layer], (4,), 2, steps=[("fc1", "fc", None)])
     assert np.array_equal(net.forward(Tensor(np.ones((3, 4)))).values, np.full((3, 2), 4.0))
+
+
+# The step lists as first written, with relu before each pool.
+RELU_THEN_POOL = {
+    "conv-small": [
+        ("conv1", "conv", 12), RELU, POOL,
+        ("conv2", "conv", 24), RELU, POOL,
+        ("conv3", "conv", 24), RELU,
+        ("fc1", "fc", 32), RELU,
+        ("fc2", "fc", None),
+    ],
+    "resnet-tiny": [
+        ("conv1", "conv", 16), RELU, POOL, SAVE,
+        ("block.conv_a", "conv", 16), RELU,
+        ("block.conv_b", "conv", 16),
+        ("block.shortcut", "shortcut-conv", 16), RELU, POOL,
+        ("fc", "fc", None),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", ["pgd-at", "trades"])
+@pytest.mark.parametrize("arch", sorted(RELU_THEN_POOL))
+def test_pool_before_relu_matches_relu_before_pool(arch, kind, monkeypatch):
+    # max is monotone: both orders give the same logits, attack and gradients,
+    # up to the sign of zeros, which np.array_equal does not see
+    net = build_network(arch, (1, 8, 8), 3, seed=4)
+    relu_first = Network(arch, net.layers, (1, 8, 8), 3, steps=RELU_THEN_POOL[arch])
+    assert net.steps != relu_first.steps
+    rng = np.random.default_rng(4)
+    for layer in net.layers:
+        layer.set_mask((rng.uniform(size=layer.spec.weight_shape) > 0.3).astype(float))
+    x, y = rng.uniform(0, 1, size=(16, 1, 8, 8)), rng.integers(0, 3, size=16)
+    attacks = []
+
+    def recording_pgd(*args, **kwargs):
+        attacks.append(pgd(*args, **kwargs))
+        return attacks[-1]
+
+    monkeypatch.setattr(adversary, "pgd", recording_pgd)
+
+    def step(n):
+        with T.no_grad():
+            logits = n.forward(Tensor(x)).values
+        loss = robust_step(n, x, y, RobustLossConfig(kind), AttackConfig(8 / 255, 2 / 255, 3),
+                           np.random.default_rng(5), "test")
+        grads = [(l.params.grad, l.mask_tensor.grad) for l in n.layers]
+        return [loss, logits, attacks[-1]] + [g for pair in grads for g in pair]
+
+    for i, (a, b) in enumerate(zip(step(net), step(relu_first), strict=True)):
+        assert np.array_equal(a, b), i
 
 
 def test_build_is_deterministic():

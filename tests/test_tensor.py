@@ -167,6 +167,8 @@ def _run_op(op, x, g, *params):
     ((4, 6, 8, 8), (6, 6, 1, 1), 0),     # the 1x1 shortcut conv
     ((1, 1, 5, 9), (1, 3, 3, 3), 1),     # c_in=1, batch 1, non-square
     ((2, 3, 7, 4), (3, 2, 3, 3), 0),     # non-square, no padding
+    ((2, 3, 7, 6), (3, 4, 5, 5), 2),     # k=5, padding 2
+    ((2, 3, 6, 5), (3, 2, 3, 3), 2),     # k=3, padding 2: output larger than the input
 ])
 def test_conv2d_bit_exact_against_reference(x_shape, w_shape, padding):
     rng = np.random.default_rng(sum(x_shape) + padding)
@@ -180,21 +182,23 @@ def test_conv2d_bit_exact_against_reference(x_shape, w_shape, padding):
         assert np.array_equal(a, b), name
 
 
-@pytest.mark.parametrize("window", [2, 4])
+# window 3 has an odd slot count; window 17 has 289 slots, so the winner index is uint16
+@pytest.mark.parametrize("window", [2, 3, 4, 17])
 @pytest.mark.parametrize("kind", ["normal", "rounded", "constant", "relu"])
 def test_max_pool2d_bit_exact_against_reference(window, kind):
     rng = np.random.default_rng(window)
-    x = rng.normal(size=(3, 2, 8, 12))
+    hw = {3: (6, 9), 17: (17, 34)}.get(window, (8, 12))
+    x = rng.normal(size=(3, 2) + hw)
     # rounded and constant inputs put many equal values in one window
     x = {"normal": x, "rounded": np.round(x), "constant": np.full_like(x, 0.5),
          "relu": np.maximum(x, 0.0)}[kind]
-    g = rng.normal(size=(3, 2, 8 // window, 12 // window))
+    g = rng.normal(size=(3, 2, hw[0] // window, hw[1] // window))
     got = _run_op(lambda xt: T.max_pool2d(xt, window), x, g)
     want = max_pool2d_reference(x, window, g)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-@pytest.mark.parametrize("window", [2, 4])
+@pytest.mark.parametrize("window", [2, 3, 4, 17])
 @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
 def test_max_pool2d_non_finite_in_every_window_slot(window, special):
     # A NaN anywhere in a window makes its output NaN, as numpy's max reduction does,
