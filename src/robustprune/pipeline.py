@@ -23,6 +23,7 @@ from .network import Network, build_network, count_preserved, flops
 from .optim import CosineSchedule, SgdState, sgd_step
 from .pruning import (
     CompressionConfig,
+    RATE_TOLERANCE,
     GammaSchedule,
     gamma_update,
     build_masks,
@@ -136,7 +137,7 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
             "layer_rates": stats.layer_rates,
         })
     final_rate = history[-1]["global_rate"]
-    if sched.arrival_epoch is None and final_rate > comp.k_t:
+    if sched.arrival_epoch is None and final_rate > comp.k_t * (1 + RATE_TOLERANCE):
         warnings.warn(
             f"target compression {comp.k_t} not reached after {cfg.prune_epochs} epochs; "
             f"final rate {final_rate:.5f}",

@@ -20,6 +20,7 @@ from .optim import SgdState, sgd_step
 
 GRANULARITIES = ("weight", "channel")
 BUDGETS = ("param-count", "flops")
+RATE_TOLERANCE = 1e-3  # relative slack on reaching k_t: per-layer rounding can overshoot
 
 
 @dataclass

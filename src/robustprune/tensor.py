@@ -80,8 +80,9 @@ def no_grad():
         _RECORDING.pop()
 
 
-# Attack loops only need gradients along the input path; weight-side
-# gradients of matmul/conv are skipped while this flag is lowered.
+# Attack loops only need gradients along the input path. An op recorded while
+# this flag is lowered skips its weight gradient wherever its backward runs;
+# conv2d then frees its patch matrix right after the forward.
 _PARAM_GRADS = [True]
 
 
@@ -202,14 +203,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.values @ b.values)
+    param_grads = _PARAM_GRADS[-1]
 
     def rule(g):
         da = g @ b.values.T if _needs_grad(a) else None
-        db = a.values.T @ g if _needs_grad(b) and _PARAM_GRADS[-1] else None
+        db = a.values.T @ g if _needs_grad(b) and param_grads else None
         return (da, db)
 
     _record(out, (a, b), rule)
     return out
+
+
+_COL2IM_ENTRIES = 1 << 17
+_COL2IM_INDEX: dict[tuple[int, int, int, int], np.ndarray] = {}
+
+
+def _col2im_index(c_in: int, hp: int, wp: int, k: int) -> np.ndarray:
+    """Padded-input offsets of patch gradients in (n, c_in, a, b, y, x) order, built once
+    per geometry for as many examples as fit in _COL2IM_ENTRIES (1 MiB), at least one."""
+    if (c_in, hp, wp, k) not in _COL2IM_INDEX:
+        h_out, w_out = hp - k + 1, wp - k + 1
+        block = max(1, _COL2IM_ENTRIES // (c_in * k * k * h_out * w_out))
+        rows = (np.arange(block * c_in)[:, None, None, None, None] * hp
+                + np.arange(k)[:, None, None, None] + np.arange(h_out)[:, None])
+        _COL2IM_INDEX[c_in, hp, wp, k] = (rows * wp + np.arange(k)[:, None, None]
+                                          + np.arange(w_out)).ravel()
+    return _COL2IM_INDEX[c_in, hp, wp, k]
 
 
 def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
@@ -244,27 +263,29 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     wmat = w.values.transpose(0, 2, 3, 1).reshape(c_in * k * k, c_out)
     out_vals = (wmat.T @ patches).reshape(batch, c_out, h_out, w_out)
     out = Tensor(out_vals)
+    patches = patches if _PARAM_GRADS[-1] else None  # only dw reads it
 
     def rule(g):
         gmat = np.ascontiguousarray(g).reshape(batch, c_out, h_out * w_out)
         dw = None
         dx = None
-        if _needs_grad(w) and _PARAM_GRADS[-1]:
+        if patches is not None and _needs_grad(w):
             dw = (
                 np.tensordot(patches, gmat, axes=([0, 2], [0, 2]))
                 .reshape(c_in, k, k, c_out)
                 .transpose(0, 3, 1, 2)
             )
         if _needs_grad(x):
-            # col2im: shifted accumulation of patch gradients, each pixel summed in
-            # (a, b) order. Pixels lead so each add runs over batch*c_in values.
-            dpatch = (wmat @ gmat).reshape(batch, c_in, k, k, h_out, w_out)
-            dpatch = dpatch.transpose(4, 5, 0, 1, 2, 3)
-            dxp = np.zeros((h + 2 * padding, width + 2 * padding, batch, c_in))
-            for a in range(k):
-                for b in range(k):
-                    dxp[a : a + h_out, b : b + w_out] += dpatch[..., a, b]
-            dx = dxp[padding : padding + h, padding : padding + width].transpose(2, 3, 0, 1)
+            # col2im by blocks of examples: bincount adds the patch gradients in their
+            # (n, c_in, a, b, y, x) order, so each padded pixel sums in (a, b) order.
+            hp, wp = h + 2 * padding, width + 2 * padding
+            index = _col2im_index(c_in, hp, wp, k)
+            block = index.size // (c_in * k * k * h_out * w_out)
+            dx = np.empty(x.shape)
+            for s in range(0, batch, block):
+                dpatch = (wmat @ gmat[s : s + block]).ravel()
+                dxp = np.bincount(index[: dpatch.size], dpatch).reshape(-1, c_in, hp, wp)
+                dx[s : s + block] = dxp[:, :, padding : padding + h, padding : padding + width]
         return (dx, dw)
 
     _record(out, (x, w), rule)

@@ -27,6 +27,7 @@ from robustprune.pipeline import (
     stage_prune,
 )
 from robustprune.pruning import (
+    RATE_TOLERANCE,
     CompressionConfig,
     budget_state,
     g_activation,
@@ -221,7 +222,7 @@ def test_criterion_5_compression_arrival(arrival_runs):
     assert all(row["hw_loss"] == 0.0 for row in arrived)
     gammas = {row["gamma"] for row in history.epochs if row["epoch"] >= history.arrival_epoch}
     assert len(gammas) == 1  # frozen after arrival
-    assert history.final_rate <= 0.01 * (1 + 1e-3)
+    assert history.final_rate <= 0.01 * (1 + RATE_TOLERANCE)
     assert elapsed < 600.0
     print(f"\nPASS criterion 5: arrival at epoch {history.arrival_epoch}, "
           f"budget loss 0 thereafter, final rate {history.final_rate:.5f} ({elapsed:.0f}s)")
@@ -291,7 +292,7 @@ def test_criterion_7_trend_reproduction(trend_runs):
     assert abs(dense - harp_90) <= 3.0
     assert abs(dense - base_90) <= 3.0
     for seed in SEEDS:
-        assert trend_runs[(seed, "harp", 0.01)][1] <= 0.01 * (1 + 1e-3)
+        assert trend_runs[(seed, "harp", 0.01)][1] <= 0.01 * (1 + RATE_TOLERANCE)
     assert elapsed < 2700.0
     print(f"\nPASS criterion 7: 99% sparsity natural {harp_99:.1f} vs uniform score-only "
           f"{base_99:.1f} (gap {harp_99 - base_99:.1f} >= 2); 90% within 3 of dense "
@@ -299,7 +300,7 @@ def test_criterion_7_trend_reproduction(trend_runs):
 
 
 def test_criterion_8_ablation_harness(trend_runs):
-    tol = 0.01 * (1 + 1e-3)
+    tol = 0.01 * (1 + RATE_TOLERANCE)
     for seed in SEEDS:
         _, rate_r, _ = trend_runs[(seed, "rates-only", 0.01)]
         _, rate_s, _ = trend_runs[(seed, "scores-only", 0.01)]
@@ -367,7 +368,7 @@ def test_criterion_10_channel_pruning(tmp_path):
     net, history = stage_prune(cfg, net, train)
     current, _ = flops(net)
     full, _ = flops(net, [np.ones(l.spec.weight_shape) for l in net.layers])
-    assert current / full <= 0.5 * (1 + 1e-3), f"FLOPs rate {current / full:.4f}"
+    assert current / full <= 0.5 * (1 + RATE_TOLERANCE), f"FLOPs rate {current / full:.4f}"
     for input_idx, shortcut_idx in net.residual_links:
         assert net.layers[input_idx].quota.values == net.layers[shortcut_idx].quota.values
     # masked forward equivalence under the learned channel masks

@@ -3,6 +3,7 @@
 import argparse
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from robustprune.pipeline import (
     stage_pretrain,
     stage_prune,
 )
-from robustprune.pruning import CompressionConfig, prune_epoch
+from robustprune.pruning import RATE_TOLERANCE, CompressionConfig, PruneEpochStats, prune_epoch
 from robustprune.tensor import Tensor
 
 
@@ -204,6 +205,24 @@ def test_prune_diverges_on_first_nonfinite_batch_without_update():
     for layer, s, q in zip(net.layers, scores, quotas):
         assert np.array_equal(layer.scores.values, s) and np.array_equal(layer.quota.values, q)
         assert layer.scores.grad is None and layer.quota.grad is None
+
+
+@pytest.mark.parametrize("excess,warns", [(0.5 * RATE_TOLERANCE, False),
+                                          (2 * RATE_TOLERANCE, True)])
+def test_unreached_target_warns_only_beyond_rate_tolerance(monkeypatch, excess, warns):
+    # Never arrived (budget loss stays above 0): the final rate alone decides the warning.
+    cfg = tiny_cfg(epochs=(0, 2, 0))
+    final_rate = cfg.compression.k_t * (1 + excess)
+    stats = PruneEpochStats(robust_loss_mean=0.5, hw_loss_mean=1e-9,
+                            global_rate=final_rate, layer_rates=[final_rate] * 3)
+    monkeypatch.setattr("robustprune.pipeline.prune_epoch", lambda *args: stats)
+    train, _ = ingest(cfg.dataset, cfg.seed)
+    net = stage_pretrain(cfg, train)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, history = stage_prune(cfg, net, train)
+    assert history.arrival_epoch is None and history.final_rate == final_rate
+    assert any("not reached" in str(w.message) for w in caught) == warns
 
 
 def test_channel_prune_ties_shortcut_quota():

@@ -1,5 +1,7 @@
 """Tensor engine: forward values, backward gradients vs finite differences, SGD."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,11 @@ def _run_op(op, x, g, *params):
     ((2, 3, 7, 4), (3, 2, 3, 3), 0),     # non-square, no padding
     ((2, 3, 7, 6), (3, 4, 5, 5), 2),     # k=5, padding 2
     ((2, 3, 6, 5), (3, 2, 3, 3), 2),     # k=3, padding 2: output larger than the input
+    # batches over several col2im blocks ending in a partial one (block sizes are
+    # checked in test_col2im_index_is_one_bounded_entry_per_geometry)
+    ((7, 16, 16, 16), (16, 4, 3, 3), 1),  # k=3, padding 1: blocks of 3 examples
+    ((37, 32, 16, 16), (32, 8, 1, 1), 0),  # 1x1 shortcut: blocks of 16
+    ((256, 12, 8, 8), (12, 24, 3, 3), 1),  # conv-small's conv2 at eval batch: blocks of 18
 ])
 def test_conv2d_bit_exact_against_reference(x_shape, w_shape, padding):
     rng = np.random.default_rng(sum(x_shape) + padding)
@@ -180,6 +187,57 @@ def test_conv2d_bit_exact_against_reference(x_shape, w_shape, padding):
     want = conv2d_reference(x, w, padding, g)
     for name, a, b in zip(("out", "dx", "dw"), got, want):
         assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("c_in,side,k,padding,block", [
+    (16, 16, 3, 1, 3), (32, 16, 1, 0, 16), (12, 8, 3, 1, 18)])
+def test_col2im_index_is_one_bounded_entry_per_geometry(c_in, side, k, padding, block):
+    # Every batch size shares one index per geometry, of at most _COL2IM_ENTRIES
+    # entries, so peak memory does not grow with the batch sizes a run has seen.
+    rng = np.random.default_rng(c_in)
+    hp = side + 2 * padding
+    key = (c_in, hp, hp, k)
+    T._COL2IM_INDEX.pop(key, None)
+    others = set(T._COL2IM_INDEX)
+    for batch in (1, 32, 256):
+        x = rng.normal(size=(batch, c_in, side, side))
+        w = rng.normal(size=(c_in, 2, k, k))
+        g = rng.normal(size=(batch, 2, hp - k + 1, hp - k + 1))
+        dx = _run_op(lambda xt, wt: T.conv2d(xt, wt, padding=padding), x, g, w)[1]
+        assert np.array_equal(dx, conv2d_reference(x, w, padding, g)[1])
+    assert set(T._COL2IM_INDEX) - others == {key}
+    index = T._COL2IM_INDEX[key]
+    assert index.size == block * c_in * k * k * (hp - k + 1) ** 2 <= T._COL2IM_ENTRIES
+
+
+@pytest.mark.parametrize("op,reference,x_shape,w_shape", [
+    pytest.param(lambda xt, wt: T.conv2d(xt, wt, padding=1),
+                 lambda x, w, g: conv2d_reference(x, w, 1, g), (2, 3, 6, 6), (3, 4, 3, 3),
+                 id="conv2d"),
+    pytest.param(T.matmul, lambda x, w, g: (x @ w, g @ w.T, x.T @ g), (5, 6), (6, 3),
+                 id="matmul"),
+])
+@pytest.mark.parametrize("record_inside", [True, False], ids=["record-in", "record-out"])
+@pytest.mark.parametrize("backward_inside", [True, False], ids=["backward-in", "backward-out"])
+def test_input_grads_only_applies_to_ops_recorded_inside(op, reference, x_shape, w_shape,
+                                                         record_inside, backward_inside):
+    rng = np.random.default_rng(3)
+    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    with T.no_grad():
+        g = rng.normal(size=op(Tensor(x), Tensor(w)).shape)
+    want_out, want_dx, want_dw = reference(x, w, g)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    with T.scoped_tape():
+        with T.input_grads_only() if record_inside else nullcontext():
+            out = op(xt, wt)
+            loss = T.tensor_sum(T.mul(out, Tensor(g)))
+        with T.input_grads_only() if backward_inside else nullcontext():
+            backward(loss)
+    assert np.array_equal(out.values, want_out) and np.array_equal(xt.grad, want_dx)
+    if record_inside:
+        assert wt.grad is None
+    else:
+        assert np.array_equal(wt.grad, want_dw)
 
 
 # window 3 has an odd slot count; window 17 has 289 slots, so the winner index is uint16
