@@ -11,6 +11,7 @@ from pathlib import Path
 from robustprune.adversary import AttackConfig
 from robustprune.config import RunConfig
 from robustprune.checkpoint import load_checkpoint
+from robustprune.network import count_preserved
 from robustprune.pipeline import run_all
 from robustprune.pruning import CompressionConfig
 from robustprune.strategies import measure_strategy, uniform_strategy
@@ -30,8 +31,9 @@ for r in rows:
 net = load_checkpoint(out / "final.npz").build()
 learned = measure_strategy(net)
 uniform = uniform_strategy(net, cfg.compression.k_t)
+_, kept = count_preserved(net)
 print(f"\n{'layer':>6}  {'learned rate':>12}  {'uniform rate':>12}  {'kept':>6}")
-for lr_row, u_row in zip(learned.rows, uniform.rows):
-    print(f"{lr_row.layer:>6}  {lr_row.rate:12.4f}  {u_row.rate:12.4f}  {lr_row.preserved:6d}")
-print(f"\nglobal rate: {learned.global_rate:.4f} (target {cfg.compression.k_t})")
+for layer, lr, ur, k in zip(net.layers, learned, uniform, kept):
+    print(f"{layer.spec.name:>6}  {lr:12.4f}  {ur:12.4f}  {k:6d}")
+print(f"\nglobal rate: {sum(kept) / net.total_params:.4f} (target {cfg.compression.k_t})")
 print(f"artifacts in {out}/ (metrics.csv, strategy.csv, prune_curve.csv)")

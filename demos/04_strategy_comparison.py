@@ -31,22 +31,22 @@ for _ in range(8):
         sgd_step(opt, params)
 
 k_t = 0.05
-tables = {
+strategies = {
     "uniform": uniform_strategy(net, k_t),
     "erk": erk_strategy(net, k_t),
     "lamp": lamp_strategy(net, k_t),
 }
 
 names = [l.spec.name for l in net.layers]
-print(f"{'layer':>6} " + " ".join(f"{n:>9}" for n in tables))
+print(f"{'layer':>6} " + " ".join(f"{n:>9}" for n in strategies))
 for i, name in enumerate(names):
-    print(f"{name:>6} " + " ".join(f"{t.rows[i].rate:9.4f}" for t in tables.values()))
+    print(f"{name:>6} " + " ".join(f"{rates[i]:9.4f}" for rates in strategies.values()))
 
 print(f"\naccuracy after one-shot magnitude pruning at {1 - k_t:.0%} sparsity (no fine-tune):")
 magnitude = [np.abs(l.params.values) for l in net.layers]
 saved = [l.params.values.copy() for l in net.layers]
-for name, table in tables.items():
-    apply_strategy(net, table, magnitude)
+for name, rates in strategies.items():
+    apply_strategy(net, rates, magnitude)
     acc = evaluate(net, test.inputs, test.labels)[0].accuracy_pct
     print(f"  {name:>8}: {acc:5.1f}%")
 for l, w in zip(net.layers, saved):

@@ -1,6 +1,6 @@
 """Adversarially robust pruning with learned per-layer rates and connection scores."""
 
-from .adversary import AttackConfig, RobustLossConfig, evaluate, fgsm, pgd, robust_loss
+from .adversary import AttackConfig, RobustLossConfig, evaluate, pgd, robust_loss
 from .config import RunConfig, config_from_dict, parse_config_file
 from .data import Dataset, ingest, synthetic_blobs
 from .network import Network, LayerSpec, build_network, count_preserved, flops
@@ -8,11 +8,9 @@ from .optim import CosineSchedule, SgdState, sgd_step
 from .pipeline import run_all, stage_finetune, stage_pretrain, stage_prune
 from .pruning import (
     CompressionConfig,
-    GammaSchedule,
     build_masks,
     g_activation,
     g_derivative,
-    gamma_update,
     hw_loss,
     init_rate,
     init_scores_channel,
@@ -21,7 +19,6 @@ from .pruning import (
     top_fraction_mask,
 )
 from .strategies import (
-    StrategyTable,
     apply_strategy,
     erk_strategy,
     lamp_strategy,

@@ -1,4 +1,4 @@
-"""l-infinity attacks (FGSM, PGD) and robust training losses (PGD-AT, TRADES)."""
+"""l-infinity PGD (FGSM is its one-step, no-init case) and robust training losses (PGD-AT, TRADES)."""
 
 from __future__ import annotations
 
@@ -79,15 +79,6 @@ def _project(x_adv: np.ndarray, x0: np.ndarray, cfg: AttackConfig) -> np.ndarray
             break
         out[over] = np.nextafter(out[over], x0[over])
     return out
-
-
-def fgsm(net: Network, x: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np.ndarray:
-    """Single step of size epsilon along the sign of the input gradient."""
-    x = np.asarray(x, dtype=np.float64)
-    if cfg.epsilon == 0:
-        return x.copy()
-    grad = _attack_grad(net, x, y, None)
-    return _project(x + cfg.epsilon * np.sign(grad), x, cfg)
 
 
 def pgd(net: Network, x: np.ndarray, y: np.ndarray, cfg: AttackConfig,

@@ -30,18 +30,6 @@ class Checkpoint:
     meta: dict
     arrays: dict
 
-    @property
-    def stage(self) -> str:
-        return self.meta["stage"]
-
-    @property
-    def seed(self) -> int:
-        return self.meta["seed"]
-
-    @property
-    def config_hash(self) -> str:
-        return self.meta["config_hash"]
-
     def build(self) -> Network:
         """Reconstruct the network; every array must be finite, every weight and mask
         must pass the layer's shape check."""

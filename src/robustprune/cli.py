@@ -15,7 +15,6 @@ from .adversary import LOSS_KINDS, evaluate, metrics_to_csv
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, config_from_dict, parse_config_file, set_key
 from .data import DataFormatError, ingest
-from .network import flops
 from .pipeline import (
     DivergenceError,
     _input_shape,
@@ -31,12 +30,12 @@ from .pipeline import (
 )
 from .pruning import BUDGETS, GRANULARITIES
 from .strategies import (
-    StrategyTable,
-    compare_tables,
     erk_strategy,
     lamp_strategy,
     measure_strategy,
     uniform_strategy,
+    write_strategy,
+    write_strategy_compare,
 )
 
 EXIT_OK = 0
@@ -148,20 +147,25 @@ def _cmd_strategy(args) -> int:
     cfg = _build_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tables: list[StrategyTable] = []
-    for ckpt_path in args.from_ckpt:
-        net, _ = load_network(ckpt_path)
-        table = measure_strategy(net)
-        tables.append(table)
-        path = out / f"strategy_{Path(ckpt_path).stem}.csv"
-        table.save_csv(path, flops(net)[1])
-        print(f"strategy exported to {path}")
+    nets = [load_network(path)[0] for path in args.from_ckpt]
+    layers = [[f"{l.spec.name} {l.spec.weight_shape}" for l in net.layers] for net in nets]
+    for path, other in zip(args.from_ckpt[1:], layers[1:]):
+        if other != layers[0]:
+            raise ConfigError(f"cannot compare {args.from_ckpt[0]} (layers {layers[0]}) "
+                              f"with {path} (layers {other})")
+    strategies = []
+    for path, net in zip(args.from_ckpt, nets):
+        strategies.append(("harp-learned", measure_strategy(net)))
+        csv_path = out / f"strategy_{Path(path).stem}.csv"
+        write_strategy(csv_path, net)
+        print(f"strategy exported to {csv_path}")
     if args.baselines:
-        net, _ = load_network(args.from_ckpt[0])
         k_t = cfg.compression.k_t
-        tables += [uniform_strategy(net, k_t), erk_strategy(net, k_t), lamp_strategy(net, k_t)]
-    if len(tables) > 1 or args.baselines:
-        compare_tables(tables, out / "strategy_compare.csv")
+        strategies += [(name, make(nets[0], k_t)) for name, make in
+                       (("uniform", uniform_strategy), ("erk", erk_strategy),
+                        ("lamp", lamp_strategy))]
+    if len(strategies) > 1:
+        write_strategy_compare(out / "strategy_compare.csv", nets[0], strategies)
         print(f"comparison written to {out / 'strategy_compare.csv'}")
     return EXIT_OK
 

@@ -25,7 +25,6 @@ class DataFormatError(ValueError):
 class Dataset:
     inputs: np.ndarray  # (n, c, h, w) float64 in [0, 1]
     labels: np.ndarray  # (n,) int64
-    split: str
 
     def __post_init__(self):
         if len(self.inputs) != len(self.labels):
@@ -80,8 +79,8 @@ def _split(inputs: np.ndarray, labels: np.ndarray, seed: int,
     n_test = int(round(test_fraction * len(labels)))
     test_idx, train_idx = idx[:n_test], idx[n_test:]
     return (
-        Dataset(inputs[train_idx], labels[train_idx], "train"),
-        Dataset(inputs[test_idx], labels[test_idx], "test"),
+        Dataset(inputs[train_idx], labels[train_idx]),
+        Dataset(inputs[test_idx], labels[test_idx]),
     )
 
 

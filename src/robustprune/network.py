@@ -24,7 +24,6 @@ class LayerSpec:
     kernel: int = 1
     spatial_out: int = 1
     padding: int = 0
-    prunable: bool = True
 
     @property
     def fan_in(self) -> int:

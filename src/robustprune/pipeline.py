@@ -24,15 +24,13 @@ from .optim import CosineSchedule, SgdState, sgd_step
 from .pruning import (
     CompressionConfig,
     RATE_TOLERANCE,
-    GammaSchedule,
-    gamma_update,
     build_masks,
     init_rate,
     init_scores_channel,
     init_scores_weight,
     prune_epoch,
 )
-from .strategies import measure_strategy
+from .strategies import write_strategy
 from .tensor import Tensor
 
 
@@ -122,28 +120,29 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
     epochs = cfg.prune_epochs
     score_opt = _sgd(cfg.opt_scores, epochs) if cfg.method in ("harp", "scores-only") else None
     rate_opt = _sgd(cfg.opt_rates, epochs) if cfg.method in ("harp", "rates-only") else None
-    sched = GammaSchedule(step=comp.gamma_step)
     history = []
+    arrival = None  # the first epoch whose mean budget loss is exactly 0
     for epoch in range(1, epochs + 1):
         for opt in filter(None, (score_opt, rate_opt)):
             opt.set_epoch(epoch - 1)
-        gamma = sched.value(epoch)
+        gamma = comp.gamma_step * (arrival or epoch)  # ramps, then freezes at arrival
         stats = prune_epoch(net, comp, gamma, cfg.loss, cfg.attack,
                             train.batches(cfg.batch_size, rng), score_opt, rate_opt, rng)
-        gamma_update(sched, epoch, stats.hw_loss_mean)
+        if arrival is None and stats.hw_loss_mean == 0.0:
+            arrival = epoch
         history.append({
             "epoch": epoch, "gamma": gamma, "robust_loss": stats.robust_loss_mean,
             "hw_loss": stats.hw_loss_mean, "global_rate": stats.global_rate,
             "layer_rates": stats.layer_rates,
         })
     final_rate = history[-1]["global_rate"]
-    if sched.arrival_epoch is None and final_rate > comp.k_t * (1 + RATE_TOLERANCE):
+    if arrival is None and final_rate > comp.k_t * (1 + RATE_TOLERANCE):
         warnings.warn(
             f"target compression {comp.k_t} not reached after {cfg.prune_epochs} epochs; "
             f"final rate {final_rate:.5f}",
             stacklevel=2,
         )
-    result = PruneHistory(history, sched.arrival_epoch, final_rate)
+    result = PruneHistory(history, arrival, final_rate)
     if outdir is not None:
         outdir = Path(outdir)
         save_checkpoint(outdir / "prune.npz", net, "prune", cfg.seed, cfg.config_hash(),
@@ -186,8 +185,7 @@ def run_all(cfg: RunConfig, outdir: Path) -> list[MetricRow]:
     net = stage_finetune(cfg, net, train, outdir)
     rows = evaluate(net, test.inputs, test.labels, default_eval_attacks(cfg.attack))
     metrics_to_csv(rows, outdir / "metrics.csv")
-    table = measure_strategy(net)
-    table.save_csv(outdir / "strategy.csv", flops(net)[1])
+    write_strategy(outdir / "strategy.csv", net)
     write_summary(outdir / "summary.csv", cfg, net, rows)
     return rows
 

@@ -1,5 +1,5 @@
 """Learned compression: trainable per-layer rates and scores, top-fraction masks,
-the clamped global budget loss, and its schedule.
+and the clamped global budget loss.
 
 Rates live in an unconstrained quota r per layer, squeezed into [k_min, 1]
 by a scaled sigmoid. Masks keep the top score fraction of each layer; the
@@ -54,33 +54,6 @@ class CompressionConfig:
     @property
     def k_min(self) -> float:
         return 0.1 * self.k_t
-
-
-@dataclass
-class GammaSchedule:
-    """Step-wise ramp of the budget-loss weight, frozen once the budget is met."""
-
-    step: float
-    current: float = 0.0
-    frozen: bool = False
-    arrival_epoch: int | None = None
-
-    def value(self, epoch: int) -> float:
-        if self.frozen:
-            return self.current
-        return self.step * epoch
-
-
-def gamma_update(sched: GammaSchedule, epoch: int, hw_loss_value: float) -> float:
-    """Advance the ramp for ``epoch`` and freeze it at the first zero budget loss."""
-    if epoch < 1:
-        raise ValueError(f"epochs are 1-based, got {epoch}")
-    gamma = sched.value(epoch)
-    sched.current = gamma
-    if not sched.frozen and hw_loss_value == 0.0:
-        sched.frozen = True
-        sched.arrival_epoch = epoch
-    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +113,11 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _keep_count(rate: float, n: int) -> int:
+    """Entries a top-fraction mask keeps of n: rate * n rounded half up, at least one."""
+    return min(max(1, _round_half_up(rate * n)), n)
+
+
 def top_fraction_mask(scores: np.ndarray, rate: float) -> np.ndarray:
     """Binary mask keeping the top ``rate`` fraction by score, at least one entry.
 
@@ -151,25 +129,20 @@ def top_fraction_mask(scores: np.ndarray, rate: float) -> np.ndarray:
         raise ValueError("cannot rank an empty score array")
     if not np.isfinite(flat).all():
         raise ValueError("cannot rank non-finite scores")
-    keep = min(max(1, _round_half_up(rate * flat.size)), flat.size)
     mask = np.zeros(flat.size)
-    mask[np.argsort(-flat, kind="stable")[:keep]] = 1.0
+    mask[np.argsort(-flat, kind="stable")[:_keep_count(rate, flat.size)]] = 1.0
     return mask.reshape(np.asarray(scores).shape)
 
 
-def build_masks(net: Network, k_min: float) -> list[np.ndarray]:
+def build_masks(net: Network, k_min: float) -> None:
     """Rebuild every layer's mask from its quota and scores (DivergenceError if not finite)."""
-    masks = []
     for layer in net.layers:
         if layer.scores is None or layer.quota is None:
             raise ValueError(f"{layer.spec.name}: scores/quota not initialized")
         quota = float(layer.quota.values)
         if not (math.isfinite(quota) and np.isfinite(layer.scores.values).all()):
             raise DivergenceError(f"{layer.spec.name}: scores or quota not finite")
-        mask = top_fraction_mask(layer.scores.values, g_activation(quota, k_min))
-        layer.set_mask(mask)
-        masks.append(mask)
-    return masks
+        layer.set_mask(top_fraction_mask(layer.scores.values, g_activation(quota, k_min)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,61 +1,27 @@
-"""Fixed layer-rate allocation schemes and strategy tables.
+"""Fixed layer-rate allocation schemes and the strategy CSV writers.
 
-Uniform, ERK-style density allocation, and LAMP-style global ranking give
-the non-learned baselines; ``apply_strategy`` installs percentile masks at
-any table's rates, which is also how the rate-only / score-only ablations
+A strategy is a list of per-layer rates in ``net.layers`` order. Uniform,
+ERK-style density allocation, and LAMP-style global ranking give the
+non-learned baselines; ``apply_strategy`` installs percentile masks at any
+strategy's rates, which is also how the rate-only / score-only ablations
 and the uniform score-training baseline enter the pipeline.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network
-from .pruning import _round_half_up, top_fraction_mask
+from .network import Network, flops
+from .pruning import _keep_count, _round_half_up, top_fraction_mask
 
 
-@dataclass
-class StrategyRow:
-    layer: str
-    rate: float
-    preserved: int
-
-
-@dataclass
-class StrategyTable:
-    rows: list[StrategyRow]
-    global_rate: float
-    source: str
-
-    def rate_for(self, layer_name: str) -> float:
-        for row in self.rows:
-            if row.layer == layer_name:
-                return row.rate
-        raise KeyError(f"strategy table has no row for layer {layer_name!r}")
-
-    def save_csv(self, path, preserved_flops: list[float] | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "rate", "preserved_params", "preserved_flops"])
-            for i, row in enumerate(self.rows):
-                fl = preserved_flops[i] if preserved_flops else ""
-                writer.writerow([row.layer, f"{row.rate:.10f}", row.preserved, fl])
-
-
-def _preserved(rate: float, n: int) -> int:
-    return max(1, min(n, _round_half_up(rate * n)))
-
-
-def uniform_strategy(net: Network, k_t: float) -> StrategyTable:
+def uniform_strategy(net: Network, k_t: float) -> list[float]:
     """Every layer keeps the same fraction k_t."""
     if not 0.0 < k_t <= 1.0:
         raise ValueError(f"target rate must be in (0, 1], got {k_t}")
-    rows = [StrategyRow(l.spec.name, k_t, _preserved(k_t, l.spec.weight_count)) for l in net.layers]
-    total = sum(r.preserved for r in rows)
-    return StrategyTable(rows, total / net.total_params, "uniform")
+    return [k_t] * len(net.layers)
 
 
 def _erk_raw(spec) -> float:
@@ -63,7 +29,7 @@ def _erk_raw(spec) -> float:
     return (spec.c_i + spec.c_o + 2 * k) / (spec.c_i * spec.c_o * k * k)
 
 
-def erk_strategy(net: Network, k_t: float) -> StrategyTable:
+def erk_strategy(net: Network, k_t: float) -> list[float]:
     """Density proportional to (c_i + c_o + 2k) / (c_i * c_o * k^2), water-filled.
 
     Layers whose scaled density exceeds 1 are capped and their surplus
@@ -91,12 +57,7 @@ def erk_strategy(net: Network, k_t: float) -> StrategyTable:
         capped |= over
     else:
         raise ValueError("ERK redistribution failed to settle")
-    rows = [
-        StrategyRow(s.name, float(d), _preserved(float(d), s.weight_count))
-        for s, d in zip(specs, density)
-    ]
-    total = sum(r.preserved for r in rows)
-    return StrategyTable(rows, total / net.total_params, "erk")
+    return [float(d) for d in density]
 
 
 def lamp_scores(weights: np.ndarray) -> np.ndarray:
@@ -123,7 +84,7 @@ def lamp_scores(weights: np.ndarray) -> np.ndarray:
     return scores.reshape(np.asarray(weights).shape)
 
 
-def lamp_strategy(net: Network, k_t: float) -> StrategyTable:
+def lamp_strategy(net: Network, k_t: float) -> list[float]:
     """Keep the global top k_t fraction by LAMP score; rates read off survivors.
 
     Each layer unconditionally retains its best-scored weight, the rest of
@@ -147,61 +108,57 @@ def lamp_strategy(net: Network, k_t: float) -> StrategyTable:
     rest = np.flatnonzero(~chosen)
     chosen[rest[: budget - len(net.layers)]] = True
     counts = np.bincount(layer_ids[order[chosen]], minlength=len(net.layers))
-    rows = [
-        StrategyRow(l.spec.name, int(c) / l.spec.weight_count, int(c))
-        for l, c in zip(net.layers, counts)
-    ]
-    total = sum(r.preserved for r in rows)
-    return StrategyTable(rows, total / net.total_params, "lamp")
+    return [int(c) / l.spec.weight_count for l, c in zip(net.layers, counts)]
 
 
-def apply_strategy(net: Network, table: StrategyTable,
-                   scores: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """Install percentile masks at the table's fixed rates; weights untouched.
+def apply_strategy(net: Network, rates: list[float],
+                   scores: list[np.ndarray] | None = None) -> None:
+    """Install percentile masks at fixed per-layer rates; weights untouched.
 
     ``scores`` defaults to each layer's current score tensor; pass magnitude
     scores (|theta|) to reproduce classic lowest-weight-magnitude pruning.
     """
-    masks = []
-    for i, layer in enumerate(net.layers):
-        rate = table.rate_for(layer.spec.name)
+    if len(rates) != len(net.layers):
+        raise ValueError(f"{len(rates)} rates for {len(net.layers)} layers")
+    for i, (layer, rate) in enumerate(zip(net.layers, rates)):
         if scores is not None:
             s = np.asarray(scores[i])
         elif layer.scores is not None:
             s = layer.scores.values
         else:
             raise ValueError(f"{layer.spec.name}: no scores available to rank connections")
-        mask = top_fraction_mask(s, rate)
-        layer.set_mask(mask)
-        masks.append(mask)
-    return masks
+        layer.set_mask(top_fraction_mask(s, rate))
 
 
-def measure_strategy(net: Network, source: str = "harp-learned") -> StrategyTable:
-    """Read the realized per-layer rates and counts off the installed masks."""
-    rows = []
-    for layer in net.layers:
-        n = layer.spec.weight_count
-        kept = int(layer.broadcast_mask().sum())
-        rows.append(StrategyRow(layer.spec.name, kept / n, kept))
-    total = sum(r.preserved for r in rows)
-    return StrategyTable(rows, total / net.total_params, source)
+def _kept(layer) -> int:
+    return int(layer.broadcast_mask().sum())
 
 
-def compare_tables(tables: list[StrategyTable], path) -> None:
-    """Join several strategies into one CSV, a row per layer."""
-    if not tables:
-        raise ValueError("nothing to compare")
-    names = [r.layer for r in tables[0].rows]
+def measure_strategy(net: Network) -> list[float]:
+    """Read the realized per-layer rates off the installed masks."""
+    return [_kept(l) / l.spec.weight_count for l in net.layers]
+
+
+def write_strategy(path, net: Network) -> None:
+    """One row per layer: realized rate, kept weights and FLOPs of the installed masks."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layer", "rate", "preserved_params", "preserved_flops"])
+        for layer, fl in zip(net.layers, flops(net)[1]):
+            kept = _kept(layer)
+            writer.writerow([layer.spec.name, f"{kept / layer.spec.weight_count:.10f}", kept, fl])
+
+
+def write_strategy_compare(path, net: Network, strategies: list[tuple[str, list[float]]]) -> None:
+    """Join named strategies into one CSV: a row per layer, a rate and a kept count per strategy."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["layer"]
-        for t in tables:
-            header += [f"{t.source}_rate", f"{t.source}_preserved"]
+        for name, _ in strategies:
+            header += [f"{name}_rate", f"{name}_preserved"]
         writer.writerow(header)
-        for name in names:
-            row = [name]
-            for t in tables:
-                r = next(r for r in t.rows if r.layer == name)
-                row += [f"{r.rate:.10f}", r.preserved]
+        for i, layer in enumerate(net.layers):
+            row = [layer.spec.name]
+            for _, rates in strategies:
+                row += [f"{rates[i]:.10f}", _keep_count(rates[i], layer.spec.weight_count)]
             writer.writerow(row)

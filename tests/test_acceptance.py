@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import robustprune.tensor as T
-from robustprune.adversary import AttackConfig, constraints_satisfied, evaluate, fgsm, pgd
+from robustprune.adversary import AttackConfig, constraints_satisfied, evaluate, pgd
 from robustprune.checkpoint import load_checkpoint, save_checkpoint
 from robustprune.config import RunConfig
 from robustprune.data import ingest, synthetic_blobs
@@ -41,7 +41,6 @@ from robustprune.strategies import (
     erk_strategy,
     lamp_scores,
     lamp_strategy,
-    measure_strategy,
     uniform_strategy,
 )
 from robustprune.tensor import Tensor
@@ -268,9 +267,8 @@ def trend_runs(tmp_path_factory):
             if method == "scores-only" and k_t == 0.01:
                 # the uniform score-only baseline is the apply_strategy path:
                 # fixed uniform rates plus the learned scores give these masks
-                table = uniform_strategy(net, k_t)
                 installed = [l.mask.copy() for l in net.layers]
-                apply_strategy(net, table)
+                apply_strategy(net, uniform_strategy(net, k_t))
                 for a, layer in zip(installed, net.layers):
                     assert np.array_equal(a, layer.mask)
     results["elapsed"] = time.monotonic() - start
@@ -323,13 +321,12 @@ def test_criterion_9_strategy_oracles():
     rng = np.random.default_rng(109)
     net = build_network("mlp-small", (1, 8, 8), 2, seed=109)
     for k_t in (0.5, 0.1, 0.03):
-        table = erk_strategy(net, k_t)
+        rates = erk_strategy(net, k_t)
         sizes = [l.spec.weight_count for l in net.layers]
         raws = [(s.c_i + s.c_o + 2 * s.kernel) / (s.c_i * s.c_o * s.kernel**2)
                 for s in (l.spec for l in net.layers)]
         expect = erk_water_fill(sizes, raws, k_t * net.total_params)
-        for row, d in zip(table.rows, expect):
-            assert row.rate == pytest.approx(d, rel=1e-12)
+        assert rates == pytest.approx(expect, rel=1e-12)
         lamp = lamp_strategy(net, k_t)
         budget = int(math.floor(k_t * net.total_params + 0.5))
         entries = []
@@ -347,8 +344,8 @@ def test_criterion_9_strategy_oracles():
                 break
             chosen.add((li, fi))
         counts = [sum(1 for li, _ in chosen if li == i) for i in range(len(net.layers))]
-        assert [r.preserved for r in lamp.rows] == counts
-    print("PASS criterion 9: ERK and LAMP tables equal brute force; LAMP hand example holds")
+        assert lamp == [c / l.spec.weight_count for c, l in zip(counts, net.layers)]
+    print("PASS criterion 9: ERK and LAMP rates equal brute force; LAMP hand example holds")
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +400,8 @@ def test_criterion_11_attack_constraints():
                            int(rng.integers(1, 5)), random_init=bool(rng.integers(2)))
         if rng.integers(2):
             x_adv = pgd(net, x, y, cfg, rng)
-        else:
-            x_adv = fgsm(net, x, y, cfg)
+        else:  # the fgsm row of the eval attacks: one un-initialized epsilon step
+            x_adv = pgd(net, x, y, dict(default_eval_attacks(cfg))["fgsm"])
         assert np.all(np.abs(x_adv - x) <= cfg.epsilon)
         assert np.all(x_adv >= 0.0) and np.all(x_adv <= 1.0)
         assert constraints_satisfied(x_adv, x, cfg)
@@ -413,7 +410,7 @@ def test_criterion_11_attack_constraints():
     y = rng.integers(0, 2, size=100)
     zero = AttackConfig(0.0, 0.0, 3)
     assert np.array_equal(pgd(net, x, y, zero, rng), x)
-    assert np.array_equal(fgsm(net, x, y, zero), x)
+    assert np.array_equal(pgd(net, x, y, AttackConfig(0.0, 0.0, 1, random_init=False)), x)
     total += 200
     assert total >= 10_000
     print(f"PASS criterion 11: {total} attacked examples all inside the epsilon ball and "

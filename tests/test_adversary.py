@@ -9,12 +9,12 @@ from robustprune.adversary import (
     RobustLossConfig,
     constraints_satisfied,
     evaluate,
-    fgsm,
     pgd,
     robust_loss,
 )
 from robustprune.data import synthetic_blobs
 from robustprune.network import build_network
+from robustprune.pipeline import default_eval_attacks
 from robustprune.tensor import Tensor
 
 from helpers import finite_difference, grad_close, rel_err
@@ -23,6 +23,11 @@ from helpers import finite_difference, grad_close, rel_err
 @pytest.fixture
 def toy_net():
     return build_network("mlp-small", (1, 8, 8), 2, seed=1)
+
+
+def fgsm_cfg(eps):
+    """The fgsm row of the eval attacks at budget eps: one un-initialized pgd step of eps."""
+    return dict(default_eval_attacks(AttackConfig(eps, eps)))["fgsm"]
 
 
 @pytest.fixture
@@ -45,15 +50,17 @@ def test_attack_config_invariants():
 
 
 def test_fgsm_zero_budget_is_identity(toy_net, batch):
+    # at budget 0 evaluation has no fgsm row; the one pgd step it would take is the identity
     x, y = batch
-    out = fgsm(toy_net, x, y, AttackConfig(epsilon=0.0, step_size=0.0))
-    assert np.array_equal(out, x)
+    zero = AttackConfig(epsilon=0.0, step_size=0.0, iters=1, random_init=False)
+    assert [name for name, _ in default_eval_attacks(zero)] == ["pgd"]
+    assert np.array_equal(pgd(toy_net, x, y, zero), x)
 
 
 def test_fgsm_respects_bounds(toy_net, batch):
     x, y = batch
-    cfg = AttackConfig(epsilon=0.1, step_size=0.1)
-    out = fgsm(toy_net, x, y, cfg)
+    cfg = fgsm_cfg(0.1)
+    out = pgd(toy_net, x, y, cfg)
     assert constraints_satisfied(out, x, cfg)
     assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -87,7 +94,7 @@ def test_fgsm_sign_matches_linear_model_closed_form():
 
     lin = Network("mlp-small", [PrunableLayer(LayerSpec("fc1", "fc", 4, 2), Tensor(w, requires_grad=True))],
                   (4,), 2, steps=[("fc1", "fc", None)])
-    out = fgsm(lin, x, y, AttackConfig(epsilon=eps, step_size=eps))
+    out = pgd(lin, x, y, fgsm_cfg(eps))
     assert np.allclose(out, np.clip(stepped, 0, 1))
 
 
@@ -95,16 +102,6 @@ def test_pgd_zero_budget_identity(toy_net, batch):
     x, y = batch
     out = pgd(toy_net, x, y, AttackConfig(0.0, 0.0, 5), np.random.default_rng(0))
     assert np.array_equal(out, x)
-
-
-def test_pgd_one_step_no_init_equals_fgsm_with_step(toy_net, batch):
-    x, y = batch
-    kappa = 0.02
-    cfg = AttackConfig(epsilon=0.05, step_size=kappa, iters=1, random_init=False)
-    out = pgd(toy_net, x, y, cfg)
-    small = fgsm(toy_net, x, y, AttackConfig(epsilon=kappa, step_size=kappa))
-    # fgsm with budget kappa equals one kappa-sized pgd step inside a larger ball
-    assert np.allclose(out, small)
 
 
 def test_pgd_constraints_exact(toy_net, batch):
@@ -151,12 +148,12 @@ def test_pgd_multi_step_beats_fgsm_loss(toy_net):
     rng = np.random.default_rng(8)
     x, y = synthetic_blobs(128, size=8, classes=2, noise=0.1, seed=8)
     cfg_pgd = AttackConfig(epsilon=0.06, step_size=0.015, iters=10, random_init=False)
-    cfg_fgsm = AttackConfig(epsilon=0.06, step_size=0.06)
+    cfg_fgsm = fgsm_cfg(0.06)
     wins = 0
     for seed in range(3):
         net = build_network("mlp-small", (1, 8, 8), 2, seed=seed)
         xa = pgd(net, x, y, cfg_pgd)
-        xf = fgsm(net, x, y, cfg_fgsm)
+        xf = pgd(net, x, y, cfg_fgsm)
 
         def batch_loss(inputs):
             with T.no_grad():

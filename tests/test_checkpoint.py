@@ -30,9 +30,9 @@ def test_checkpoint_roundtrip_forward_bit_exact(tmp_path):
     with T.no_grad():
         after = rebuilt.forward(x).values
     assert np.array_equal(before, after)
-    assert ckpt.stage == "prune"
-    assert ckpt.seed == 21
-    assert ckpt.config_hash == "abc123"
+    assert ckpt.meta["stage"] == "prune"
+    assert ckpt.meta["seed"] == 21
+    assert ckpt.meta["config_hash"] == "abc123"
 
 
 def test_checkpoint_preserves_pruning_state(tmp_path):

@@ -38,7 +38,6 @@ def test_ingest_synthetic_split():
     train, test = ingest({"kind": "synthetic", "n": 500, "size": 8, "classes": 2,
                           "test_fraction": 0.2}, seed=4)
     assert len(train) == 400 and len(test) == 100
-    assert train.split == "train" and test.split == "test"
     train2, test2 = ingest({"kind": "synthetic", "n": 500, "size": 8, "classes": 2,
                             "test_fraction": 0.2}, seed=4)
     assert np.array_equal(train.inputs, train2.inputs)
@@ -115,7 +114,7 @@ def test_unknown_kind_rejected():
 
 def test_dataset_validates_range():
     with pytest.raises(DataFormatError):
-        Dataset(np.full((2, 1, 2, 2), 1.5), np.zeros(2, dtype=int), "train")
+        Dataset(np.full((2, 1, 2, 2), 1.5), np.zeros(2, dtype=int))
 
 
 def test_batches_cover_everything():

@@ -514,3 +514,19 @@ def test_cli_strategy_reports_run_flops_for_channel_masks(tmp_path):
         return [line.split(",")[3] for line in path.read_text().splitlines()]
 
     assert flops_column(out / "strategy.csv") == flops_column(out / "strategy_final.csv")
+
+
+@pytest.mark.parametrize("order", [("mlp-small", "conv-small"), ("conv-small", "mlp-small")])
+def test_cli_strategy_rejects_checkpoints_of_different_architectures(tmp_path, capsys, order):
+    cfg = _write_tiny_dataset_cfg(tmp_path)
+    paths = []
+    for arch in order:
+        net = build_network(arch, (1, 8, 8), 2, seed=4)
+        paths.append(tmp_path / f"{arch}.npz")
+        save_checkpoint(paths[-1], net, "final", seed=4, config_hash="x")
+    out = tmp_path / "out"
+    assert cli.main(["strategy", "--config", str(cfg), "--seed", "4", "--out", str(out),
+                     "--from", *map(str, paths), "--baselines"]) == 2
+    err = capsys.readouterr().err
+    assert "fc1 (64, 64)" in err and "conv1 (1, 12, 3, 3)" in err and "Traceback" not in err
+    assert not (out / "strategy_compare.csv").exists()

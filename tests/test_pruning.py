@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 import robustprune.tensor as T
 from robustprune.adversary import AttackConfig, DivergenceError, RobustLossConfig, robust_step
+from robustprune.config import RunConfig
+from robustprune.data import ingest
 from robustprune.network import LayerSpec, Network, PrunableLayer, build_network
+from robustprune.pipeline import stage_prune
 from robustprune.pruning import (
     CompressionConfig,
-    GammaSchedule,
+    PruneEpochStats,
     build_masks,
     g_activation,
     g_derivative,
-    gamma_update,
     hw_loss,
     init_rate,
     init_scores_channel,
@@ -392,32 +394,39 @@ def test_mask_grad_is_straight_through_over_every_forward(kind, arch):
 # --- gamma schedule ---
 
 
-def test_gamma_ramp_value():
-    sched = GammaSchedule(step=0.01)
-    for epoch in range(1, 6):
-        gamma_update(sched, epoch, hw_loss_value=1.0)
-    assert sched.current == pytest.approx(0.05)
-    assert not sched.frozen
+def _scripted_prune(monkeypatch, gamma_step, hw_losses):
+    """stage_prune with prune_epoch replaced by one reporting these mean budget losses."""
+    cfg = RunConfig(seed=3, arch="mlp-small")
+    cfg.dataset = {"kind": "synthetic", "n": 40, "size": 8, "classes": 2, "test_fraction": 0.5}
+    cfg.prune_epochs = len(hw_losses)
+    cfg.compression = CompressionConfig(k_t=0.5, gamma_step=gamma_step)
+    scripted = iter(hw_losses)
+    monkeypatch.setattr("robustprune.pipeline.prune_epoch", lambda *args: PruneEpochStats(
+        robust_loss_mean=0.5, hw_loss_mean=next(scripted), global_rate=0.5,
+        layer_rates=[0.5] * 3))
+    train, _ = ingest(cfg.dataset, cfg.seed)
+    _, history = stage_prune(cfg, build_network(cfg.arch, (1, 8, 8), 2, seed=3), train)
+    return [row["gamma"] for row in history.epochs], history.arrival_epoch
 
 
-def test_gamma_freezes_at_first_zero():
-    sched = GammaSchedule(step=0.01)
-    for epoch in range(1, 11):
-        gamma_update(sched, epoch, hw_loss_value=1.0)
-    gamma_update(sched, 11, hw_loss_value=0.0)
-    assert sched.frozen and sched.arrival_epoch == 11
-    assert sched.current == pytest.approx(0.11)
-    for epoch in range(12, 21):
-        assert gamma_update(sched, epoch, hw_loss_value=0.5) == pytest.approx(0.11)
-    assert sched.arrival_epoch == 11
+def test_gamma_ramp_value(monkeypatch):
+    gammas, arrival = _scripted_prune(monkeypatch, 0.01, [1.0] * 5)
+    assert gammas[-1] == pytest.approx(0.05)
+    assert arrival is None
 
 
-def test_gamma_small_step_never_arrives():
-    sched = GammaSchedule(step=0.001)
-    values = [gamma_update(sched, e, hw_loss_value=2.0) for e in range(1, 21)]
-    assert sched.arrival_epoch is None
-    assert values == pytest.approx([0.001 * e for e in range(1, 21)])
-    assert all(a <= b for a, b in zip(values, values[1:]))
+def test_gamma_freezes_at_first_zero(monkeypatch):
+    gammas, arrival = _scripted_prune(monkeypatch, 0.01, [1.0] * 10 + [0.0] + [0.5] * 9)
+    assert arrival == 11
+    assert gammas[10] == pytest.approx(0.11)
+    assert gammas[11:] == pytest.approx([0.11] * 9)
+
+
+def test_gamma_small_step_never_arrives(monkeypatch):
+    gammas, arrival = _scripted_prune(monkeypatch, 0.001, [2.0] * 20)
+    assert arrival is None
+    assert gammas == pytest.approx([0.001 * e for e in range(1, 21)])
+    assert all(a <= b for a, b in zip(gammas, gammas[1:]))
 
 
 def test_compression_config_invariants():

@@ -1,11 +1,12 @@
 """Allocation baselines against brute-force oracles and paper-scale geometry."""
 
+import csv
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from robustprune.network import LayerSpec, PrunableLayer, Network, build_network
+from robustprune.network import LayerSpec, PrunableLayer, Network, build_network, flops
 from robustprune.pruning import top_fraction_mask
 from robustprune.strategies import (
     apply_strategy,
@@ -14,6 +15,8 @@ from robustprune.strategies import (
     lamp_strategy,
     measure_strategy,
     uniform_strategy,
+    write_strategy,
+    write_strategy_compare,
 )
 from robustprune.tensor import Tensor
 
@@ -44,30 +47,36 @@ def _toy_net(seed=0, arch="mlp-small"):
     return build_network(arch, (1, 8, 8), 2, seed=seed)
 
 
+def _preserved(tmp_path, net, rates):
+    """The kept counts strategy_compare.csv reports for these rates."""
+    path = tmp_path / "compare.csv"
+    write_strategy_compare(path, net, [("s", rates)])
+    with open(path, newline="") as fh:
+        return [int(row["s_preserved"]) for row in csv.DictReader(fh)]
+
+
 # --- uniform ---
 
 
-def test_uniform_rate_one_keeps_everything():
+def test_uniform_rate_one_keeps_everything(tmp_path):
     net = _toy_net()
-    table = uniform_strategy(net, 1.0)
-    assert all(r.rate == 1.0 for r in table.rows)
-    assert sum(r.preserved for r in table.rows) == net.total_params
+    rates = uniform_strategy(net, 1.0)
+    assert rates == [1.0] * len(net.layers)
+    assert sum(_preserved(tmp_path, net, rates)) == net.total_params
 
 
-def test_uniform_cascade_preserved_counts():
+def test_uniform_cascade_preserved_counts(tmp_path):
     # per-layer counts at 99.9% sparsity on the cascade geometry; the final
     # fc layer keeps exactly 3 of its 2560 weights
-    table = uniform_strategy(_cascade_stub(), 0.001)
+    stub = _cascade_stub()
     expected = [2, 37, 74, 147, 295, 590, 590, 1180,
                 2359, 2359, 2359, 2359, 2359, 524, 66, 3]
-    assert [r.preserved for r in table.rows] == expected
-    assert table.rows[-1].layer == "fc3" and table.rows[-1].preserved == 3
+    assert _preserved(tmp_path, stub, uniform_strategy(stub, 0.001)) == expected
 
 
-def test_uniform_rounding_stays_near_budget():
+def test_uniform_rounding_stays_near_budget(tmp_path):
     stub = _cascade_stub()
-    table = uniform_strategy(stub, 0.001)
-    total = sum(r.preserved for r in table.rows)
+    total = sum(_preserved(tmp_path, stub, uniform_strategy(stub, 0.001)))
     assert abs(total - 0.001 * stub.total_params) <= 0.001 * 0.001 * stub.total_params
 
 
@@ -81,20 +90,19 @@ def test_erk_identical_layers_get_equal_rates():
                 for n, ci, co, k in specs],
         total_params=2 * 16 * 16 * 9,
     )
-    table = erk_strategy(stub, 0.3)
-    assert table.rows[0].rate == pytest.approx(table.rows[1].rate)
+    rates = erk_strategy(stub, 0.3)
+    assert rates[0] == pytest.approx(rates[1])
 
 
 def test_erk_matches_water_fill_oracle():
     net = _toy_net(seed=5)
     for k_t in (0.5, 0.1, 0.02):
-        table = erk_strategy(net, k_t)
+        rates = erk_strategy(net, k_t)
         sizes = [l.spec.weight_count for l in net.layers]
         raws = [(s.c_i + s.c_o + 2 * s.kernel) / (s.c_i * s.c_o * s.kernel**2)
                 for s in (l.spec for l in net.layers)]
         expect = erk_water_fill(sizes, raws, k_t * net.total_params)
-        for row, d in zip(table.rows, expect):
-            assert row.rate == pytest.approx(d, rel=1e-12)
+        assert rates == pytest.approx(expect, rel=1e-12)
 
 
 def test_erk_caps_and_redistributes():
@@ -104,20 +112,19 @@ def test_erk_caps_and_redistributes():
         SimpleNamespace(spec=LayerSpec("big", "fc", 100, 100)),
     ]
     stub = SimpleNamespace(layers=layers, total_params=16 + 10_000)
-    table = erk_strategy(stub, 0.5)
-    assert table.rows[0].rate == 1.0
+    rates = erk_strategy(stub, 0.5)
+    assert rates[0] == 1.0
     sizes = [16, 10_000]
     raws = [(4 + 4 + 2) / 16, (100 + 100 + 2) / 10_000]
     expect = erk_water_fill(sizes, raws, 0.5 * stub.total_params)
-    assert table.rows[1].rate == pytest.approx(expect[1], rel=1e-12)
+    assert rates[1] == pytest.approx(expect[1], rel=1e-12)
 
 
 def test_erk_cascade_endpoints_dominate_middle():
     # the cascade run keeps front and back layers at far higher rates; the
     # observed endpoint rates sit near 0.058 and 0.143 at 99.9% sparsity
-    table = erk_strategy(_cascade_stub(), 0.001)
-    first, last = table.rows[0].rate, table.rows[-1].rate
-    middle = table.rows[9].rate
+    rates = erk_strategy(_cascade_stub(), 0.001)
+    first, last, middle = rates[0], rates[-1], rates[9]
     assert 0.05 < first < 0.07
     assert 0.13 < last < 0.16
     assert first > 50 * middle and last > 100 * middle
@@ -161,10 +168,9 @@ def test_lamp_single_layer_equals_magnitude_pruning():
     net = Network("mlp-small",
                   [PrunableLayer(LayerSpec("fc1", "fc", 10, 10), Tensor(w))],
                   (10,), 10, steps=[("fc1", "fc", None)])
-    table = lamp_strategy(net, 0.4)
-    kept = table.rows[0].preserved
-    apply_strategy(net, table, [lamp_scores(w)])
-    by_magnitude = top_fraction_mask(np.abs(w), kept / w.size)
+    rates = lamp_strategy(net, 0.4)
+    apply_strategy(net, rates, [lamp_scores(w)])
+    by_magnitude = top_fraction_mask(np.abs(w), rates[0])
     assert np.array_equal(net.layers[0].mask, by_magnitude)
 
 
@@ -176,8 +182,8 @@ def test_lamp_duplicated_layers_get_equal_rates():
         PrunableLayer(LayerSpec("b", "fc", 8, 8), Tensor(w.copy())),
     ]
     net = Network("mlp-small", layers, (8,), 8, steps=[("a", "fc", 8), ("b", "fc", None)])
-    table = lamp_strategy(net, 0.25)
-    assert table.rows[0].preserved == table.rows[1].preserved
+    rates = lamp_strategy(net, 0.25)
+    assert rates[0] == rates[1]
 
 
 def test_lamp_rates_permutation_invariant():
@@ -189,8 +195,7 @@ def test_lamp_rates_permutation_invariant():
     rng.shuffle(shuffled)
     net2 = Network("mlp-small", [PrunableLayer(LayerSpec("a", "fc", 8, 8), Tensor(shuffled.reshape(8, 8)))],
                    (8,), 8, steps=[("a", "fc", None)])
-    t1, t2 = lamp_strategy(net1, 0.3), lamp_strategy(net2, 0.3)
-    assert t1.rows[0].rate == t2.rows[0].rate
+    assert lamp_strategy(net1, 0.3) == lamp_strategy(net2, 0.3)
 
 
 def test_lamp_three_layer_oracle():
@@ -198,7 +203,7 @@ def test_lamp_three_layer_oracle():
     rng = np.random.default_rng(7)
     net = _toy_net(seed=7)
     k_t = 0.1
-    table = lamp_strategy(net, k_t)
+    rates = lamp_strategy(net, k_t)
     budget = round(k_t * net.total_params)
     entries = []
     for li, layer in enumerate(net.layers):
@@ -218,23 +223,22 @@ def test_lamp_three_layer_oracle():
             break
         chosen.add((li, fi))
     counts = [sum(1 for li, _ in chosen if li == i) for i in range(len(net.layers))]
-    assert [r.preserved for r in table.rows] == counts
+    assert rates == [c / l.spec.weight_count for c, l in zip(counts, net.layers)]
 
 
-def test_lamp_budget_conservation():
+def test_lamp_budget_conservation(tmp_path):
     net = _toy_net(seed=8)
     for k_t in (0.3, 0.05):
-        table = lamp_strategy(net, k_t)
-        total = sum(r.preserved for r in table.rows)
+        rates = lamp_strategy(net, k_t)
+        total = sum(_preserved(tmp_path, net, rates))
         assert abs(total - k_t * net.total_params) <= len(net.layers)
-        assert all(0 < r.rate <= 1 for r in table.rows)
+        assert all(0 < r <= 1 for r in rates)
 
 
-def test_erk_budget_conservation():
+def test_erk_budget_conservation(tmp_path):
     net = _toy_net(seed=9)
     for k_t in (0.3, 0.05):
-        table = erk_strategy(net, k_t)
-        total = sum(r.preserved for r in table.rows)
+        total = sum(_preserved(tmp_path, net, erk_strategy(net, k_t)))
         assert abs(total - k_t * net.total_params) <= len(net.layers)
 
 
@@ -243,16 +247,14 @@ def test_erk_budget_conservation():
 
 def test_apply_rates_one_gives_all_ones():
     net = _toy_net(seed=10)
-    table = uniform_strategy(net, 1.0)
-    apply_strategy(net, table, [np.abs(l.params.values) for l in net.layers])
+    apply_strategy(net, uniform_strategy(net, 1.0), [np.abs(l.params.values) for l in net.layers])
     for layer in net.layers:
         assert layer.mask.sum() == layer.spec.weight_count
 
 
 def test_apply_uniform_magnitude_is_lwm():
     net = _toy_net(seed=11)
-    table = uniform_strategy(net, 0.2)
-    apply_strategy(net, table, [np.abs(l.params.values) for l in net.layers])
+    apply_strategy(net, uniform_strategy(net, 0.2), [np.abs(l.params.values) for l in net.layers])
     for layer in net.layers:
         lwm = top_fraction_mask(np.abs(layer.params.values), 0.2)
         assert np.array_equal(layer.mask, lwm)
@@ -269,10 +271,9 @@ def test_apply_does_not_touch_weights():
 
 def test_apply_missing_layer_rejected():
     net = _toy_net(seed=13)
-    table = uniform_strategy(net, 0.3)
-    table.rows = table.rows[:-1]
-    with pytest.raises(KeyError):
-        apply_strategy(net, table, [np.abs(l.params.values) for l in net.layers])
+    rates = uniform_strategy(net, 0.3)[:-1]
+    with pytest.raises(ValueError, match="2 rates for 3 layers"):
+        apply_strategy(net, rates, [np.abs(l.params.values) for l in net.layers])
 
 
 def test_measured_table_roundtrips():
@@ -280,20 +281,22 @@ def test_measured_table_roundtrips():
     net = _toy_net(seed=14)
     for layer in net.layers:
         layer.set_mask(top_fraction_mask(rng.normal(size=layer.spec.weight_shape), 0.17))
-    table = measure_strategy(net)
+    rates = measure_strategy(net)
+    kept = [l.mask.sum() for l in net.layers]
     scores = [rng.normal(size=l.spec.weight_shape) for l in net.layers]
-    apply_strategy(net, table, scores)
-    again = measure_strategy(net)
-    for a, b in zip(table.rows, again.rows):
-        assert a.preserved == b.preserved
-        assert a.rate == pytest.approx(b.rate)
+    apply_strategy(net, rates, scores)
+    assert [l.mask.sum() for l in net.layers] == kept
+    assert measure_strategy(net) == rates
 
 
 def test_strategy_csv_format(tmp_path):
     net = _toy_net(seed=15)
-    table = uniform_strategy(net, 0.5)
+    apply_strategy(net, uniform_strategy(net, 0.5), [np.abs(l.params.values) for l in net.layers])
     path = tmp_path / "strategy.csv"
-    table.save_csv(path, [1.0, 2.0, 3.0])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "layer,rate,preserved_params,preserved_flops"
-    assert len(lines) == 1 + len(net.layers)
+    write_strategy(path, net)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["layer", "rate", "preserved_params", "preserved_flops"]
+    assert [r[0] for r in rows[1:]] == [l.spec.name for l in net.layers]
+    assert [int(r[2]) for r in rows[1:]] == [l.mask.sum() for l in net.layers]
+    assert [float(r[3]) for r in rows[1:]] == flops(net)[1]
