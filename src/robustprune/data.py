@@ -7,6 +7,7 @@ of the seed.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,10 +57,9 @@ def synthetic_blobs(n: int, size: int = 16, classes: int = 2, noise: float = 0.1
     labels = np.tile(np.arange(classes), n // classes + 1)[:n]
     rng.shuffle(labels)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    centers = [
-        (size * (0.25 + 0.5 * ((c // 2) % 2)), size * (0.25 + 0.5 * (c % 2)))
-        for c in range(classes)
-    ]
+    # class c sits at cell (c // g, c % g) of a g x g grid: 2-4 classes at 0.25 and 0.75
+    g = max(2, math.ceil(math.sqrt(classes)))
+    centers = [(size * (c // g + 0.5) / g, size * (c % g + 0.5) / g) for c in range(classes)]
     images = np.empty((n, 1, size, size))
     for i, c in enumerate(labels):
         cy, cx = centers[c]

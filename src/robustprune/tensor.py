@@ -1,13 +1,18 @@
 """Minimal dense-tensor engine with tape-based reverse-mode autodiff.
 
 All values are float64 numpy arrays. Operations record themselves on the
-active tape; ``backward`` replays the tape in reverse and assigns gradients
-to every tensor reached from the loss. A single training run owns a single
-tape; attacks and nested forwards open their own scope with ``scoped_tape``.
+active tape. A recorded node names its output and inputs by serial key and
+keeps ``Tensor`` objects only for its leaf inputs (those no recorded op
+produced); its backward rule keeps only the arrays that rule reads.
+``backward`` pops the tape in reverse, drops each intermediate gradient once
+its producer has used it, and assigns gradients to the leaves. A single
+training run owns a single tape; attacks and nested forwards open their own
+scope with ``scoped_tape``.
 """
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -17,16 +22,21 @@ class ShapeError(ValueError):
     """Raised when operation inputs do not conform."""
 
 
+# Tape keys: unlike id(), a serial number is never reused by a later tensor.
+_KEYS = itertools.count()
+
+
 class Tensor:
     """Dense n-dimensional float64 value with an optional gradient slot."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_from_op")
+    __slots__ = ("values", "grad", "requires_grad", "_from_op", "_key")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._from_op = False
+        self._key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -44,13 +54,15 @@ class Tensor:
 
 
 class _Node:
-    """One recorded operation: output plus the rule producing input grads."""
+    """One recorded operation: output and input keys, the leaf inputs, and the
+    rule producing input grads."""
 
-    __slots__ = ("output", "inputs", "rule")
+    __slots__ = ("out_key", "in_keys", "leaves", "rule")
 
     def __init__(self, output: Tensor, inputs: tuple[Tensor, ...], rule):
-        self.output = output
-        self.inputs = inputs
+        self.out_key = output._key
+        self.in_keys = tuple(t._key for t in inputs)
+        self.leaves = tuple(t for t in inputs if not t._from_op)
         self.rule = rule  # rule(out_grad) -> tuple of input grads (or None)
 
 
@@ -82,7 +94,7 @@ def no_grad():
 
 # Attack loops only need gradients along the input path. An op recorded while
 # this flag is lowered skips its weight gradient wherever its backward runs;
-# conv2d then frees its patch matrix right after the forward.
+# conv2d then keeps no patch matrix.
 _PARAM_GRADS = [True]
 
 
@@ -102,33 +114,32 @@ def _record(output: Tensor, inputs: tuple[Tensor, ...], rule) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor the loss depends on; consume the tape.
+    """Populate ``grad`` on every leaf the loss depends on; consume the tape.
 
-    Gradients are overwritten, not accumulated across separate backward
-    calls; within one call, contributions along multiple paths sum.
+    Leaves are the tensors no recorded op produced (parameters, masks,
+    inputs); op outputs get no ``grad``. Gradients are overwritten, not
+    accumulated across separate backward calls; within one call,
+    contributions along multiple paths sum.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = _TAPES[-1]
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-    tensors: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(tape):
-        out_grad = grads.get(id(node.output))
+    grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.values)}
+    leaves: dict[int, Tensor] = {} if loss._from_op else {loss._key: loss}
+    while tape:
+        node = tape.pop()
+        # every consumer of this output ran before it, so its gradient is complete
+        out_grad = grads.pop(node.out_key, None)
         if out_grad is None:
             continue
-        in_grads = node.rule(out_grad)
-        for tensor, grad in zip(node.inputs, in_grads):
+        for key, grad in zip(node.in_keys, node.rule(out_grad)):
             if grad is None:
                 continue
-            key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + grad
-            else:
-                grads[key] = grad
-                tensors[key] = tensor
-    for key, tensor in tensors.items():
-        tensor.grad = grads[key]
-    tape.clear()
+            grads[key] = grads[key] + grad if key in grads else grad
+        leaves.update((t._key, t) for t in node.leaves)
+    for key, tensor in leaves.items():
+        if key in grads:
+            tensor.grad = grads[key]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -150,7 +161,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.values + b.values)
     except ValueError as exc:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
-    _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
@@ -159,14 +171,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.values * b.values)
     except ValueError as exc:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
-    _record(
-        out,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.values, a.shape),
-            _unbroadcast(g * a.values, b.shape),
-        ),
-    )
+    av, bv = a.values, b.values  # each operand's grad reads the other one
+    _record(out, (a, b),
+            lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)))
     return out
 
 
@@ -185,13 +192,15 @@ def relu(a: Tensor) -> Tensor:
 
 def tensor_sum(a: Tensor) -> Tensor:
     out = Tensor(a.values.sum())
-    _record(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    shape = a.shape
+    _record(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
     return out
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.values.reshape(shape))
-    _record(out, (a,), lambda g: (g.reshape(a.shape),))
+    in_shape = a.shape
+    _record(out, (a,), lambda g: (g.reshape(in_shape),))
     return out
 
 
@@ -203,12 +212,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.values @ b.values)
-    param_grads = _PARAM_GRADS[-1]
+    bv = b.values if _needs_grad(a) else None  # read by da
+    av = a.values if _needs_grad(b) and _PARAM_GRADS[-1] else None  # read by db
 
     def rule(g):
-        da = g @ b.values.T if _needs_grad(a) else None
-        db = a.values.T @ g if _needs_grad(b) and param_grads else None
-        return (da, db)
+        return (None if bv is None else g @ bv.T, None if av is None else av.T @ g)
 
     _record(out, (a, b), rule)
     return out
@@ -218,12 +226,25 @@ _COL2IM_ENTRIES = 1 << 17
 _COL2IM_INDEX: dict[tuple[int, int, int, int], np.ndarray] = {}
 
 
+def _block(c_in: int, k: int, h_out: int, w_out: int) -> int:
+    """Examples whose patch entries fit in _COL2IM_ENTRIES, at least one."""
+    return max(1, _COL2IM_ENTRIES // (c_in * k * k * h_out * w_out))
+
+
+def _patches(xp: np.ndarray, k: int, h_out: int, w_out: int) -> np.ndarray:
+    """Patch matrix (n, c_in * k*k, h_out*w_out) of padded input; rows enumerate (c_in, a, b).
+    Contiguity matters: strided 3d operands knock matmul off the BLAS path."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
+        len(xp), -1, h_out * w_out)
+
+
 def _col2im_index(c_in: int, hp: int, wp: int, k: int) -> np.ndarray:
     """Padded-input offsets of patch gradients in (n, c_in, a, b, y, x) order, built once
-    per geometry for as many examples as fit in _COL2IM_ENTRIES (1 MiB), at least one."""
+    per geometry for a _block of examples (1 MiB)."""
     if (c_in, hp, wp, k) not in _COL2IM_INDEX:
         h_out, w_out = hp - k + 1, wp - k + 1
-        block = max(1, _COL2IM_ENTRIES // (c_in * k * k * h_out * w_out))
+        block = _block(c_in, k, h_out, w_out)
         rows = (np.arange(block * c_in)[:, None, None, None, None] * hp
                 + np.arange(k)[:, None, None, None] + np.arange(h_out)[:, None])
         _COL2IM_INDEX[c_in, hp, wp, k] = (rows * wp + np.arange(k)[:, None, None]
@@ -254,34 +275,39 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     if padding:
         xp = np.zeros((batch, c_in, h + 2 * padding, width + 2 * padding))
         xp[:, :, padding : padding + h, padding : padding + width] = x.values
-    # patches: (batch, c_in * k*k, h_out*w_out); row index enumerates (c_in, a, b).
-    # Contiguity matters: strided 3d operands knock matmul off the BLAS path.
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    patches = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        batch, c_in * k * k, h_out * w_out
-    )
     wmat = w.values.transpose(0, 2, 3, 1).reshape(c_in * k * k, c_out)
-    out_vals = (wmat.T @ patches).reshape(batch, c_out, h_out, w_out)
-    out = Tensor(out_vals)
-    patches = patches if _PARAM_GRADS[-1] else None  # only dw reads it
+    need_x = _needs_grad(x)
+    if _RECORDING[-1] and _PARAM_GRADS[-1] and _needs_grad(w):
+        patches = _patches(xp, k, h_out, w_out)  # dw reads it
+        out_vals = wmat.T @ patches
+    else:
+        # no patch matrix outlives the forward: build and multiply it by blocks of
+        # examples; each example gets the same BLAS call as in the whole-batch product
+        patches = None
+        out_vals = np.empty((batch, c_out, h_out * w_out))
+        block = _block(c_in, k, h_out, w_out)
+        for s in range(0, batch, block):
+            np.matmul(wmat.T, _patches(xp[s : s + block], k, h_out, w_out),
+                      out=out_vals[s : s + block])
+    out = Tensor(out_vals.reshape(batch, c_out, h_out, w_out))
 
     def rule(g):
         gmat = np.ascontiguousarray(g).reshape(batch, c_out, h_out * w_out)
         dw = None
         dx = None
-        if patches is not None and _needs_grad(w):
+        if patches is not None:
             dw = (
                 np.tensordot(patches, gmat, axes=([0, 2], [0, 2]))
                 .reshape(c_in, k, k, c_out)
                 .transpose(0, 3, 1, 2)
             )
-        if _needs_grad(x):
+        if need_x:
             # col2im by blocks of examples: bincount adds the patch gradients in their
             # (n, c_in, a, b, y, x) order, so each padded pixel sums in (a, b) order.
             hp, wp = h + 2 * padding, width + 2 * padding
             index = _col2im_index(c_in, hp, wp, k)
             block = index.size // (c_in * k * k * h_out * w_out)
-            dx = np.empty(x.shape)
+            dx = np.empty((batch, c_in, h, width))
             for s in range(0, batch, block):
                 dpatch = (wmat @ gmat[s : s + block]).ravel()
                 dxp = np.bincount(index[: dpatch.size], dpatch).reshape(-1, c_in, hp, wp)
@@ -300,26 +326,28 @@ def max_pool2d(x: Tensor, window: int = 2) -> Tensor:
     if h % window or w % window:
         raise ShapeError(f"max-pool: input {x.shape} not divisible by window {window}")
     # Running max over a contiguous slot-major copy; np.maximum carries NaN through.
-    # Slot numbers rise, so raising the winner on each strict > keeps the first max.
+    # The winner is the offset a*w + b of slot (a, b) from its window's top-left
+    # pixel in x; offsets rise with the slot, so raising it on each strict > keeps
+    # the first max.
     ho, wo = h // window, w // window
     slots = np.ascontiguousarray(x.values.reshape(batch, c, ho, window, wo, window)
                                  .transpose(3, 5, 0, 1, 2, 4)).reshape(-1, batch, c, ho, wo)
+    offsets = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
     out_vals = slots[0].copy()
-    winner = np.zeros(out_vals.shape, np.min_scalar_type(window * window - 1))
+    winner = np.zeros(out_vals.shape, np.min_scalar_type(offsets[-1]))
     beats = np.empty(out_vals.shape, bool)
     for slot in range(1, window * window):
         np.greater(slots[slot], out_vals, out=beats)
-        np.maximum(winner, beats.view(np.uint8) * winner.dtype.type(slot), out=winner)
+        np.maximum(winner, beats.view(np.uint8) * winner.dtype.type(offsets[slot]), out=winner)
         np.maximum(out_vals, slots[slot], out=out_vals)
     out = Tensor(out_vals)
 
     def rule(g):
-        # flat index of each window's winner in x: window corner plus slot offset
-        corner = (np.arange(batch * c).reshape(batch, c, 1, 1) * (h * w)
-                  + np.arange(0, h, window)[:, None] * w + np.arange(0, w, window))
-        offset = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
+        # flat index in x of each window's winner: its top-left pixel plus the offset
+        index = (np.arange(0, batch * c * h, window).reshape(batch, c, ho, 1) * w
+                 + np.arange(0, w, window) + winner)
         dx = np.zeros((batch, c, h, w))
-        dx.ravel()[(corner + offset[winner]).ravel()] = g.ravel()
+        dx.ravel()[index.ravel()] = g.ravel()
         return (dx,)
 
     _record(out, (x,), rule)
@@ -368,13 +396,14 @@ def kl_divergence(p_logits: Tensor, q_logits: Tensor) -> Tensor:
     logq = _log_softmax(q_logits.values)
     p = np.exp(logp)
     out = Tensor((p * (logp - logq)).sum(axis=1).mean())
+    need_p, need_q = _needs_grad(p_logits), _needs_grad(q_logits)
 
     def rule(g):
         dp = None
         dq = None
-        if _needs_grad(q_logits):
+        if need_q:
             dq = g * (np.exp(logq) - p) / batch
-        if _needs_grad(p_logits):
+        if need_p:
             v = logp - logq
             dp = g * p * (v - (p * v).sum(axis=1, keepdims=True)) / batch
         return (dp, dq)
@@ -385,7 +414,8 @@ def kl_divergence(p_logits: Tensor, q_logits: Tensor) -> Tensor:
 
 def _needs_grad(t: Tensor) -> bool:
     # Computing input grads for leaves that never asked is wasteful in the
-    # two heavy ops (conv, kl), so their rules consult this flag. Tensors
-    # produced by another op always need one.
+    # heavy ops (conv, matmul, kl), so they read this flag as they record and
+    # keep only the arrays the needed grads read. Tensors produced by another
+    # op always need one.
     return t.requires_grad or t._from_op
 

@@ -7,6 +7,7 @@ differences) and never calls the code paths it checks.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -174,3 +175,16 @@ def max_pool2d_reference(x: np.ndarray, window: int, g: np.ndarray):
         .reshape(batch, c, h, w)
     )
     return out, dx
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated through Python's allocators (numpy arrays included) while
+    ``fn`` runs. tracemalloc counts requested bytes, so the figure does not depend on
+    host speed or on the allocator."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

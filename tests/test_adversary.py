@@ -17,7 +17,7 @@ from robustprune.network import build_network
 from robustprune.pipeline import default_eval_attacks
 from robustprune.tensor import Tensor
 
-from helpers import finite_difference, grad_close, rel_err
+from helpers import finite_difference, grad_close, rel_err, traced_peak
 
 
 @pytest.fixture
@@ -270,3 +270,15 @@ def test_evaluate_deterministic(toy_net):
     a = evaluate(toy_net, x, y, attacks)
     b = evaluate(toy_net, x, y, attacks)
     assert [r.accuracy_pct for r in a] == [r.accuracy_pct for r in b]
+
+
+def test_pgd_iteration_on_conv_small_at_eval_batch_stays_under_20_mib():
+    # An attack pass keeps only what each backward rule reads, the backward frees
+    # each node and intermediate gradient as it sweeps, and conv2d builds no
+    # whole-batch patch matrix; holding every activation took 34.7 MiB here.
+    net = build_network("conv-small", (1, 16, 16), 2, seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0, 1, size=(256, 1, 16, 16)), rng.integers(0, 2, size=256)
+    cfg = AttackConfig(8 / 255, 2 / 255, iters=1, random_init=False)
+    pgd(net, x, y, cfg)  # builds the per-geometry col2im indices, which persist
+    assert traced_peak(lambda: pgd(net, x, y, cfg)) < 20 * 2**20

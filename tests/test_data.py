@@ -34,6 +34,26 @@ def test_blobs_deterministic():
     assert np.array_equal(a, b) and np.array_equal(la, lb)
 
 
+@pytest.mark.parametrize("classes", [5, 8, 9, 10])
+def test_blobs_every_class_has_its_own_center(classes):
+    # Without noise each class's mean image peaks at its blob center. Two classes
+    # sharing a center would be one distribution under two labels.
+    size = 24
+    images, labels = synthetic_blobs(40 * classes, size=size, classes=classes, noise=0.0, seed=2)
+    peaks = np.array([np.unravel_index(images[labels == c, 0].mean(axis=0).argmax(), (size, size))
+                      for c in range(classes)])
+    gaps = np.abs(peaks[:, None] - peaks[None]).max(axis=-1)
+    np.fill_diagonal(gaps, size)
+    assert gaps.min() >= size // 6, peaks.tolist()
+
+
+def test_blobs_four_classes_sit_at_the_quarter_points():
+    images, labels = synthetic_blobs(400, size=16, classes=4, noise=0.0, seed=5)
+    peaks = [np.unravel_index(images[labels == c, 0].mean(axis=0).argmax(), (16, 16))
+             for c in range(4)]
+    assert [tuple(map(int, p)) for p in peaks] == [(4, 4), (4, 12), (12, 4), (12, 12)]
+
+
 def test_ingest_synthetic_split():
     train, test = ingest({"kind": "synthetic", "n": 500, "size": 8, "classes": 2,
                           "test_fraction": 0.2}, seed=4)

@@ -131,6 +131,29 @@ def test_elementwise_gradients_match_fd(op, builder):
     assert rel_err(x.grad, fd) < 1e-5
 
 
+def test_backward_sets_grad_on_leaves_only_and_empties_the_tape():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=True)
+    with T.scoped_tape():
+        conv = T.conv2d(x, w, padding=1)
+        act = T.relu(conv)
+        loss = T.tensor_sum(act)
+        backward(loss)
+        assert T._TAPES[-1] == []
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert conv.grad is None and act.grad is None and loss.grad is None
+
+
+def test_gradients_along_two_paths_sum_for_leaves_and_intermediates():
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    with T.scoped_tape():
+        h = T.scale(x, 2.0)  # an intermediate read by two ops
+        backward(T.tensor_sum(T.add(T.mul(h, h), T.mul(h, x))))  # and x on two paths
+    # d/dx (4x^2 + 2x^2) = 12x
+    assert np.array_equal(x.grad, 12.0 * x.values)
+
+
 def test_conv_and_pool_gradients_match_fd():
     rng = np.random.default_rng(11)
     x = rng.uniform(-2, 2, size=(2, 2, 6, 6))
@@ -183,10 +206,21 @@ def test_conv2d_bit_exact_against_reference(x_shape, w_shape, padding):
     out_shape = (x_shape[0], w_shape[1], x_shape[2] + 2 * padding - w_shape[2] + 1,
                  x_shape[3] + 2 * padding - w_shape[2] + 1)
     g = rng.normal(size=out_shape)
-    got = _run_op(lambda xt, wt: T.conv2d(xt, wt, padding=padding), x, g, w)
+    def conv(xt, wt):
+        return T.conv2d(xt, wt, padding=padding)
+
     want = conv2d_reference(x, w, padding, g)
+    got = _run_op(conv, x, g, w)
     for name, a, b in zip(("out", "dx", "dw"), got, want):
         assert np.array_equal(a, b), name
+    # attack passes and no_grad forwards keep no patch matrix and multiply it by blocks
+    with T.input_grads_only():
+        got = _run_op(conv, x, g, w)
+    for name, a, b in zip(("input-grads-only out", "input-grads-only dx"), got, want):
+        assert np.array_equal(a, b), name
+    assert got[2] is None
+    with T.no_grad():
+        assert np.array_equal(conv(Tensor(x), Tensor(w)).values, want[0]), "no-grad out"
 
 
 @pytest.mark.parametrize("c_in,side,k,padding,block", [
