@@ -1,7 +1,7 @@
 """Self-describing checkpoint container (npz) for networks and pruning state.
 
 Layout: a JSON ``meta`` entry (architecture, stage tag, seed, config hash,
-RNG state, layer names) plus per-layer float64 arrays ``theta_i``,
+layer names) plus per-layer float64 arrays ``theta_i``,
 ``scores_i``, ``quota_i`` and ``mask_i``. Loading rebuilds the network and
 restores every array bit-exactly, checking that each is finite and each
 weight and mask shape against the architecture; other arrays in the file
@@ -60,8 +60,7 @@ class Checkpoint:
         return self.arrays[key].copy()
 
 
-def save_checkpoint(path, net: Network, stage: str, seed: int, config_hash: str,
-                    rng_state: dict | None = None) -> None:
+def save_checkpoint(path, net: Network, stage: str, seed: int, config_hash: str) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
         "arch": net.arch,
@@ -70,7 +69,6 @@ def save_checkpoint(path, net: Network, stage: str, seed: int, config_hash: str,
         "stage": stage,
         "seed": seed,
         "config_hash": config_hash,
-        "rng_state": rng_state,
         "layers": [l.spec.name for l in net.layers],
     }
     arrays = {}

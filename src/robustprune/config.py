@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .adversary import AttackConfig, RobustLossConfig
-from .network import ARCHITECTURES
+from .network import ARCHITECTURES, _layout
 from .pruning import CompressionConfig
 
 METHODS = ("harp", "rates-only", "scores-only")
@@ -74,6 +74,12 @@ class RunConfig:
             raise ConfigError("prune_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        size = int(self.dataset.get("size", 16))
+        try:  # the architecture's own check, e.g. pooling needs divisible image sides
+            _layout(self.arch, ARCHITECTURES[self.arch], (1, size, size),
+                    int(self.dataset.get("classes", 2)))
+        except ValueError as exc:
+            raise ConfigError(f"dataset.size {size}: {exc}") from None
         for name in ("opt_pretrain", "opt_finetune", "opt_scores", "opt_rates"):
             getattr(self, name).validate(name)
 

@@ -53,6 +53,8 @@ def synthetic_blobs(n: int, size: int = 16, classes: int = 2, noise: float = 0.1
     """Class-balanced images with one Gaussian blob whose location encodes the class."""
     if classes < 2:
         raise DataFormatError(f"need at least 2 classes, got {classes}")
+    if n < 0 or noise < 0:
+        raise DataFormatError(f"sample count and noise must be >= 0, got n={n}, noise={noise}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
     labels = np.tile(np.arange(classes), n // classes + 1)[:n]
     rng.shuffle(labels)
@@ -182,4 +184,10 @@ def ingest(descriptor: dict, seed: int = 0) -> tuple[Dataset, Dataset]:
     if inputs.shape[2:] != (size, size):
         raise DataFormatError(f"{kind} images are {inputs.shape[2]}x{inputs.shape[3]}, "
                               f"not dataset.size x dataset.size = {size}x{size}")
-    return _split(inputs, labels, seed, test_fraction)
+    if not 0.0 < test_fraction < 1.0:
+        raise DataFormatError(f"dataset.test_fraction must be in (0, 1), got {test_fraction}")
+    train, test = _split(inputs, labels, seed, test_fraction)
+    if not len(train) or not len(test):
+        raise DataFormatError(f"{len(labels)} examples at test_fraction {test_fraction} "
+                              f"leave {len(train)} to train on and {len(test)} to test on")
+    return train, test

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adversary import (AttackConfig, DivergenceError, MetricRow, evaluate, metrics_to_csv,
                         robust_step)
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_from_dict
 from .data import Dataset, ingest
 from .network import Network, build_network, count_preserved, flops
@@ -64,8 +64,7 @@ def stage_pretrain(cfg: RunConfig, train: Dataset, outdir: Path | None = None) -
     rng = _stage_rng(cfg.seed, "pretrain")
     _train_theta(net, cfg, train, cfg.pretrain_epochs, cfg.opt_pretrain, rng, "pretrain")
     if outdir is not None:
-        save_checkpoint(Path(outdir) / "pretrain.npz", net, "pretrain", cfg.seed,
-                        cfg.config_hash(), rng_state=rng.bit_generator.state)
+        save_checkpoint(Path(outdir) / "pretrain.npz", net, "pretrain", cfg.seed, cfg.config_hash())
     return net
 
 
@@ -145,8 +144,7 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
     result = PruneHistory(history, arrival, final_rate)
     if outdir is not None:
         outdir = Path(outdir)
-        save_checkpoint(outdir / "prune.npz", net, "prune", cfg.seed, cfg.config_hash(),
-                        rng_state=rng.bit_generator.state)
+        save_checkpoint(outdir / "prune.npz", net, "prune", cfg.seed, cfg.config_hash())
         result.save_csv(outdir / "prune_curve.csv", [l.spec.name for l in net.layers])
     return net, result
 
@@ -157,8 +155,7 @@ def stage_finetune(cfg: RunConfig, net: Network, train: Dataset,
     rng = _stage_rng(cfg.seed, "finetune")
     _train_theta(net, cfg, train, cfg.finetune_epochs, cfg.opt_finetune, rng, "finetune")
     if outdir is not None:
-        save_checkpoint(Path(outdir) / "final.npz", net, "final", cfg.seed,
-                        cfg.config_hash(), rng_state=rng.bit_generator.state)
+        save_checkpoint(Path(outdir) / "final.npz", net, "final", cfg.seed, cfg.config_hash())
     return net
 
 
@@ -183,6 +180,12 @@ def run_all(cfg: RunConfig, outdir: Path) -> list[MetricRow]:
     net = stage_pretrain(cfg, train, outdir)
     net, _ = stage_prune(cfg, net, train, outdir)
     net = stage_finetune(cfg, net, train, outdir)
+    return write_reports(outdir, cfg, net, test)
+
+
+def write_reports(outdir: Path, cfg: RunConfig, net: Network, test: Dataset) -> list[MetricRow]:
+    """Evaluate under the default attacks; write metrics.csv, strategy.csv and summary.csv."""
+    outdir = Path(outdir)
     rows = evaluate(net, test.inputs, test.labels, default_eval_attacks(cfg.attack))
     metrics_to_csv(rows, outdir / "metrics.csv")
     write_strategy(outdir / "strategy.csv", net)
@@ -208,11 +211,6 @@ def write_summary(path, cfg: RunConfig, net: Network, rows: list[MetricRow]) -> 
             writer.writerow([f"accuracy_{r.attack}", f"{r.accuracy_pct:.4f}"])
 
 
-def load_network(ckpt_path) -> tuple[Network, Checkpoint]:
-    ckpt = load_checkpoint(ckpt_path)
-    return ckpt.build(), ckpt
-
-
 def weight_histograms(net: Network, path, bins: int = 20) -> None:
     """Per-layer histograms of retained (non-zero masked) weights."""
     with open(path, "w", newline="") as fh:
@@ -230,17 +228,28 @@ def weight_histograms(net: Network, path, bins: int = 20) -> None:
 
 def sweep(base_cfg: RunConfig, k_values: list[float], methods: list[str],
           outdir: Path) -> Path:
-    """Run the full pipeline over a grid of targets; emit a joined accuracy CSV."""
+    """Run the pipeline over a grid of targets; emit a joined accuracy CSV.
+
+    Pretraining reads neither the method nor the target, so it runs once into
+    ``<outdir>/pretrain.npz``; each cell prunes, fine-tunes and reports from
+    there into its own directory, writing what ``run_all`` writes.
+    """
+    cells = [(method, k_t, _with(base_cfg, method=method, k_t=k_t))
+             for method in methods for k_t in k_values]  # every cell's config checked first
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    train, test = ingest(base_cfg.dataset, base_cfg.seed)
+    stage_pretrain(base_cfg, train, outdir)
+    pretrained = load_checkpoint(outdir / "pretrain.npz")
     rows_out = []
-    for method in methods:
-        for k_t in k_values:
-            cfg = _with(base_cfg, method=method, k_t=k_t)
-            subdir = outdir / f"{method}_kt{k_t:g}"
-            rows = run_all(cfg, subdir)
-            for r in rows:
-                rows_out.append([method, f"{k_t:.6f}", r.attack, f"{r.accuracy_pct:.4f}"])
+    for method, k_t, cfg in cells:
+        subdir = outdir / f"{method}_kt{k_t:g}"
+        subdir.mkdir(exist_ok=True)
+        net = pretrained.build()  # a fresh network per cell: stage_prune mutates it
+        net, _ = stage_prune(cfg, net, train, subdir)
+        net = stage_finetune(cfg, net, train, subdir)
+        for r in write_reports(subdir, cfg, net, test):
+            rows_out.append([method, f"{k_t:.6f}", r.attack, f"{r.accuracy_pct:.4f}"])
     path = outdir / "sweep.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -70,15 +70,11 @@ def lamp_scores(weights: np.ndarray) -> np.ndarray:
     order = np.argsort(-flat, kind="stable")
     sorted_sq = flat[order] ** 2
     suffix = np.cumsum(sorted_sq)
-    scores_sorted = np.empty_like(sorted_sq)
-    i = 0
-    while i < len(sorted_sq):
-        j = i
-        while j + 1 < len(sorted_sq) and sorted_sq[j + 1] == sorted_sq[i]:
-            j += 1
-        denom = suffix[j]
-        scores_sorted[i : j + 1] = sorted_sq[i : j + 1] / denom if denom > 0 else 0.0
-        i = j + 1
+    # every member of a run of equal squares divides by the suffix sum at the run's end
+    ends = np.flatnonzero(np.append(sorted_sq[1:] != sorted_sq[:-1], True))
+    denom = suffix[ends][np.searchsorted(ends, np.arange(sorted_sq.size))]
+    scores_sorted = np.zeros_like(sorted_sq)
+    np.divide(sorted_sq, denom, out=scores_sorted, where=denom > 0)
     scores = np.empty_like(scores_sorted)
     scores[order] = scores_sorted
     return scores.reshape(np.asarray(weights).shape)

@@ -109,6 +109,30 @@ def lamp_scores_naive(weights) -> np.ndarray:
     return out.reshape(np.asarray(weights).shape)
 
 
+def lamp_scores_loop(weights) -> np.ndarray:
+    """LAMP scores with an explicit walk over each run of tied squared weights.
+
+    The sort, the squares and the suffix sums are the ones ``lamp_scores``
+    uses, so the two must agree bit for bit.
+    """
+    flat = np.abs(np.asarray(weights, dtype=np.float64)).ravel()
+    order = np.argsort(-flat, kind="stable")
+    sorted_sq = flat[order] ** 2
+    suffix = np.cumsum(sorted_sq)
+    scores_sorted = np.empty_like(sorted_sq)
+    i = 0
+    while i < len(sorted_sq):
+        j = i
+        while j + 1 < len(sorted_sq) and sorted_sq[j + 1] == sorted_sq[i]:
+            j += 1
+        denom = suffix[j]
+        scores_sorted[i : j + 1] = sorted_sq[i : j + 1] / denom if denom > 0 else 0.0
+        i = j + 1
+    scores = np.empty_like(scores_sorted)
+    scores[order] = scores_sorted
+    return scores.reshape(np.asarray(weights).shape)
+
+
 def train_batches(n: int, rng: np.random.Generator, size: int = 8, classes: int = 2):
     """Small random classification batch for gradient checks."""
     x = rng.uniform(0, 1, size=(n, 1, size, size))

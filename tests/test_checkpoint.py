@@ -23,8 +23,7 @@ def test_checkpoint_roundtrip_forward_bit_exact(tmp_path):
         before = net.forward(x).values
 
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, net, "prune", seed=21, config_hash="abc123",
-                    rng_state=rng.bit_generator.state)
+    save_checkpoint(path, net, "prune", seed=21, config_hash="abc123")
     ckpt = load_checkpoint(path)
     rebuilt = ckpt.build()
     with T.no_grad():
@@ -69,18 +68,6 @@ def test_checkpoint_with_legacy_velocity_arrays_loads(tmp_path):
     for a, b in zip(net.layers, rebuilt.layers):
         assert np.array_equal(a.scores.values, b.scores.values)
         assert np.array_equal(a.mask, b.mask)
-
-
-def test_checkpoint_rng_state_roundtrip(tmp_path):
-    net = build_network("mlp-small", (1, 8, 8), 2, seed=24)
-    rng = np.random.default_rng(24)
-    rng.normal(size=10)
-    save_checkpoint(tmp_path / "c.npz", net, "pretrain", 24, "z",
-                    rng_state=rng.bit_generator.state)
-    ckpt = load_checkpoint(tmp_path / "c.npz")
-    restored = np.random.default_rng()
-    restored.bit_generator.state = ckpt.meta["rng_state"]
-    assert np.array_equal(restored.normal(size=5), rng.normal(size=5))
 
 
 def _doctored(tmp_path, change):

@@ -30,6 +30,7 @@ from robustprune.pipeline import (
     stage_finetune,
     stage_pretrain,
     stage_prune,
+    sweep,
 )
 from robustprune.pruning import RATE_TOLERANCE, CompressionConfig, PruneEpochStats, prune_epoch
 from robustprune.tensor import Tensor
@@ -305,6 +306,28 @@ def test_config_rejects_unknown_key(tree, key):
         config_from_dict({"seed": 1, **tree})
 
 
+def test_readme_config_block_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    defaults = RunConfig(seed=7).to_dict()
+    checked = 0
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, printed = (part.strip() for part in line.split("=", 1))
+        default = defaults
+        for part in key.split("."):
+            default = default[part]
+        if isinstance(default, float):
+            digits = len(printed.partition(".")[2])
+            assert round(default, digits) == float(printed), key
+        else:
+            assert str(default).lower() == printed.lower(), key
+        checked += 1
+    assert checked >= 20  # the block was found and read
+
+
 def test_config_values_cast_to_default_type():
     cfg = config_from_dict({"seed": "2", "batch_size": 32.0, "compression": {"k_init": 1},
                             "dataset": {"noise": 0}})
@@ -425,14 +448,12 @@ def test_cli_stagewise_and_eval(tmp_path):
                "--from", str(out / "prune.npz"), *CLI_DATA)
     assert res.returncode == 0, res.stderr
     res = _cli("eval", "--config", str(cfg), "--seed", "4", "--out", str(out),
-               "--from", str(out / "final.npz"), "--histograms", *CLI_DATA)
+               "--from", str(out / "final.npz"), "--histograms", "--baselines", *CLI_DATA)
     assert res.returncode == 0, res.stderr
-    assert (out / "histograms.csv").exists()
-
-    res = _cli("strategy", "--config", str(cfg), "--seed", "4", "--out", str(out),
-               "--from", str(out / "final.npz"), "--baselines", *CLI_DATA)
-    assert res.returncode == 0, res.stderr
-    assert (out / "strategy_compare.csv").exists()
+    for name in ("metrics.csv", "strategy.csv", "summary.csv", "histograms.csv"):
+        assert (out / name).exists(), name
+    header = (out / "strategy_compare.csv").read_text().splitlines()[0].split(",")
+    assert header[1::2] == [f"{n}_rate" for n in ("harp-learned", "uniform", "erk", "lamp")]
 
 
 def test_cli_arch_mismatch_is_config_error(tmp_path):
@@ -503,30 +524,99 @@ def test_histogram_counts_match_preserved(tmp_path, tiny_run):
 def test_cli_strategy_reports_run_flops_for_channel_masks(tmp_path):
     cfg = _write_tiny_dataset_cfg(tmp_path)
     out = tmp_path / "chan"
-    argv = ["--config", str(cfg), "--seed", "5", "--out", str(out), "--arch", "conv-small",
+    argv = ["--config", str(cfg), "--seed", "5", "--arch", "conv-small",
             "--granularity", "channel", "--k-t", "0.3", "--k-init", "0.5",
             "--epochs-pretrain", "1", "--epochs-prune", "1", "--epochs-finetune", "0",
             "--attack-iters", "1", "--batch-size", "64"]
-    assert cli.main(["run", *argv]) == 0
-    assert cli.main(["strategy", *argv, "--from", str(out / "final.npz")]) == 0
+    assert cli.main(["run", *argv, "--out", str(out)]) == 0
+    assert cli.main(["eval", *argv, "--out", str(out / "eval"),
+                     "--from", str(out / "final.npz")]) == 0
 
     def flops_column(path):
         return [line.split(",")[3] for line in path.read_text().splitlines()]
 
-    assert flops_column(out / "strategy.csv") == flops_column(out / "strategy_final.csv")
+    assert flops_column(out / "strategy.csv") == flops_column(out / "eval" / "strategy.csv")
 
 
-@pytest.mark.parametrize("order", [("mlp-small", "conv-small"), ("conv-small", "mlp-small")])
-def test_cli_strategy_rejects_checkpoints_of_different_architectures(tmp_path, capsys, order):
+def test_cli_eval_baselines_beyond_the_budget_exit_2_before_writing(tmp_path, capsys):
     cfg = _write_tiny_dataset_cfg(tmp_path)
-    paths = []
-    for arch in order:
-        net = build_network(arch, (1, 8, 8), 2, seed=4)
-        paths.append(tmp_path / f"{arch}.npz")
-        save_checkpoint(paths[-1], net, "final", seed=4, config_hash="x")
+    net = build_network("mlp-small", (1, 8, 8), 2, seed=4)
+    save_checkpoint(tmp_path / "final.npz", net, "final", seed=4, config_hash="x")
     out = tmp_path / "out"
-    assert cli.main(["strategy", "--config", str(cfg), "--seed", "4", "--out", str(out),
-                     "--from", *map(str, paths), "--baselines"]) == 2
+    # k_t 1e-4 keeps 1 of 6,208 weights: lamp cannot give each of the three layers one
+    assert cli.main(["eval", "--config", str(cfg), "--seed", "4", "--out", str(out),
+                     "--from", str(tmp_path / "final.npz"), "--baselines", *CLI_DATA,
+                     "--k-t", "0.0001"]) == 2
     err = capsys.readouterr().err
-    assert "fc1 (64, 64)" in err and "conv1 (1, 12, 3, 3)" in err and "Traceback" not in err
-    assert not (out / "strategy_compare.csv").exists()
+    assert "cannot give every layer one weight" in err and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
+STAGED_ARTIFACTS = ("metrics.csv", "strategy.csv", "summary.csv", "prune_curve.csv",
+                    "pretrain.npz", "prune.npz", "final.npz")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--arch", "mlp-small"],
+    ["--arch", "resnet-tiny", "--granularity", "channel", "--budget", "flops", "--k-t", "0.5"],
+], ids=["mlp-small-weight", "resnet-tiny-channel-flops"])
+def test_cli_staged_run_writes_what_run_writes(tmp_path, flags):
+    argv = ["--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed", "6", *CLI_DATA, *flags]
+    run, staged = tmp_path / "run", tmp_path / "staged"
+    assert cli.main(["run", *argv, "--out", str(run)]) == 0
+    assert cli.main(["pretrain", *argv, "--out", str(staged)]) == 0
+    for command, ckpt in (("prune", "pretrain"), ("finetune", "prune"), ("eval", "final")):
+        assert cli.main([command, *argv, "--out", str(staged),
+                         "--from", str(staged / f"{ckpt}.npz")]) == 0
+    for name in STAGED_ARTIFACTS:
+        assert (staged / name).read_bytes() == (run / name).read_bytes(), name
+
+
+def test_sweep_cell_writes_what_run_all_writes(tmp_path, tiny_run):
+    cfg, out, _ = tiny_run
+    sweep(cfg, [cfg.compression.k_t], [cfg.method], tmp_path)
+    cell = tmp_path / f"{cfg.method}_kt{cfg.compression.k_t:g}"
+    assert not (cell / "pretrain.npz").exists()
+    assert (tmp_path / "pretrain.npz").read_bytes() == (out / "pretrain.npz").read_bytes()
+    for name in STAGED_ARTIFACTS:
+        if name != "pretrain.npz":
+            assert (cell / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("line, flags", [
+    ("dataset.test_fraction = 0.0", []),
+    ("dataset.test_fraction = 1.0", []),
+    ("dataset.n = 0", []),
+    ("dataset.noise = -1", []),
+    ("dataset.size = 6", ["--arch", "conv-small"]),
+], ids=["test-fraction-0", "test-fraction-1", "n-0", "negative-noise", "conv-small-size-6"])
+def test_cli_bad_dataset_exits_2_before_training(tmp_path, capsys, line, flags):
+    cfg = _write_tiny_dataset_cfg(tmp_path)
+    cfg.write_text(cfg.read_text() + line + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--seed", "3", "--out", str(out),
+                     *CLI_DATA, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.npz"))
+
+
+def test_cli_sweep_checks_every_cell_before_training(tmp_path, capsys):
+    cfg = _write_tiny_dataset_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(cfg), "--seed", "3", "--out", str(out),
+                     *CLI_DATA, "--k-values", "0.5", "7", "--methods", "harp"]) == 2
+    assert "target rate must be in (0, 1], got 7.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_takes_seed_from_config(tmp_path):
+    cfg = _write_tiny_dataset_cfg(tmp_path)
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(cfg.read_text() + "seed = 3\n")
+    assert cli.main(["run", "--config", str(seeded), "--out", str(tmp_path / "a"),
+                     *CLI_DATA]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "b"),
+                     *CLI_DATA]) == 0
+    assert (tmp_path / "a" / "metrics.csv").read_bytes() == (
+        tmp_path / "b" / "metrics.csv").read_bytes()

@@ -20,7 +20,7 @@ from robustprune.strategies import (
 )
 from robustprune.tensor import Tensor
 
-from helpers import erk_water_fill, lamp_scores_naive
+from helpers import erk_water_fill, lamp_scores_loop, lamp_scores_naive
 
 # Layer geometry of the 16-layer cascade used in the paper-scale checks:
 # thirteen 3x3 convs followed by three fully-connected layers.
@@ -152,6 +152,18 @@ def test_lamp_scores_match_naive():
     for _ in range(10):
         w = rng.normal(size=rng.integers(2, 30))
         assert np.allclose(lamp_scores(w), lamp_scores_naive(w), atol=1e-12)
+
+
+def test_lamp_scores_equal_loop_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 9, size=rng.integers(1, 4)))
+        w = rng.normal(size=shape)
+        tied = rng.random(shape) < 0.5  # ties, zeros and sign flips of equal magnitudes
+        w[tied] = rng.integers(-3, 4, size=int(tied.sum())) * 0.5
+        assert np.array_equal(lamp_scores(w), lamp_scores_loop(w))
+    zeros = np.zeros((3, 4))
+    assert np.array_equal(lamp_scores(zeros), lamp_scores_loop(zeros))
 
 
 def test_lamp_score_tie_grouping():
