@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .adversary import LOSS_KINDS
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, RunConfig, config_from_dict, parse_config_file, set_key
+from .config import METHODS, ConfigError, RunConfig, config_from_dict, parse_config_file, set_key
 from .data import DataFormatError, ingest
 from .pipeline import (
     DivergenceError,
@@ -157,14 +157,14 @@ def _cmd_sweep(args) -> int:
 
 def _load_compatible(cfg, path):
     """Build a checkpoint's network once its arch, input shape and classes match the config."""
-    ckpt = load_checkpoint(path)
-    net = ckpt.build()
-    for key, expected in (("arch", cfg.arch), ("input_shape", list(_input_shape(cfg))),
-                          ("classes", int(cfg.dataset.get("classes", 2)))):
-        if ckpt.meta[key] != expected:
-            raise ConfigError(
-                f"checkpoint {key} {ckpt.meta[key]!r} does not match config {key} {expected!r}"
-            )
+    net = load_checkpoint(path).build()
+    for key, found, expected in (
+            ("arch", net.arch, cfg.arch),
+            ("input_shape", list(net.input_shape), list(_input_shape(cfg))),
+            ("classes", net.classes, int(cfg.dataset.get("classes", 2)))):
+        if found != expected:
+            raise ConfigError(f"checkpoint {key} {found!r} does not match "
+                              f"config {key} {expected!r}")
     return net
 
 
@@ -195,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                              "rates next to uniform/erk/lamp at compression.k_t")
     p_sweep = command("sweep", _cmd_sweep, "run a grid of target rates and methods")
     p_sweep.add_argument("--k-values", type=float, nargs="+", default=[1.0, 0.1, 0.01, 0.001])
-    p_sweep.add_argument("--methods", nargs="+", default=["harp", "scores-only"])
+    p_sweep.add_argument("--methods", nargs="+", default=list(METHODS))
 
     args = parser.parse_args(argv)
     try:

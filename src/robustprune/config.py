@@ -15,7 +15,8 @@ from .adversary import AttackConfig, RobustLossConfig
 from .network import ARCHITECTURES, _layout
 from .pruning import CompressionConfig
 
-METHODS = ("harp", "rates-only", "scores-only")
+# Each method by what its prune stage learns: (per-layer rates, connection scores).
+METHODS = {"harp": (True, True), "rates-only": (True, False), "scores-only": (False, True)}
 STAGE_KEYS = ("pretrain_epochs", "prune_epochs", "finetune_epochs")
 OPT_NAMES = ("pretrain", "finetune", "scores", "rates")
 # dataset keys without a default: the data files of the csv and idx kinds
@@ -45,7 +46,7 @@ class OptConfig:
 class RunConfig:
     seed: int
     arch: str = "conv-small"
-    method: str = "harp"  # harp | rates-only | scores-only
+    method: str = "harp"  # a key of METHODS
     dataset: dict = field(default_factory=lambda: {
         "kind": "synthetic", "n": 2000, "size": 16, "classes": 2, "noise": 0.15,
         "test_fraction": 0.2,
@@ -66,7 +67,7 @@ class RunConfig:
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"arch must be one of {tuple(ARCHITECTURES)}, got {self.arch!r}")
         if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ConfigError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
         for n in STAGE_KEYS:
             if getattr(self, n) < 0:
                 raise ConfigError(f"{n} must be >= 0")

@@ -17,7 +17,7 @@ import numpy as np
 from .adversary import (AttackConfig, DivergenceError, MetricRow, evaluate, metrics_to_csv,
                         robust_step)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_from_dict
+from .config import METHODS, ConfigError, RunConfig, config_from_dict
 from .data import Dataset, ingest
 from .network import Network, build_network, count_preserved, flops
 from .optim import CosineSchedule, SgdState, sgd_step
@@ -70,9 +70,12 @@ def stage_pretrain(cfg: RunConfig, train: Dataset, outdir: Path | None = None) -
 
 @dataclass
 class PruneHistory:
-    epochs: list[dict]
+    epochs: list[dict]  # one prune-curve record per epoch
     arrival_epoch: int | None
-    final_rate: float
+
+    @property
+    def final_rate(self) -> float:
+        return self.epochs[-1]["global_rate"]
 
     def save_csv(self, path, layer_names: list[str]) -> None:
         with open(path, "w", newline="") as fh:
@@ -92,20 +95,15 @@ class PruneHistory:
 def init_pruning_state(net: Network, comp: CompressionConfig, method: str = "harp") -> None:
     """Initialize scores from the pre-trained weights and quotas at a uniform rate.
 
-    Every quota starts at the same value, so shortcut quotas start tied.
+    Every quota starts at the same value, so shortcut quotas start tied: at
+    k_init, or at the target k_t for a method that does not learn rates.
     """
-    k_init = comp.k_init
-    if method == "scores-only":
-        k_init = comp.k_t  # fixed uniform rates at the target
-    # the inverse of the rate activation needs k_init strictly inside (k_min, 1)
-    k_init = min(k_init, 0.99)
-    r0 = init_rate(k_init, comp.k_min)
+    learns_rates, _ = METHODS[method]
+    # the inverse of the rate activation needs the start strictly inside (k_min, 1)
+    r0 = init_rate(min(comp.k_init if learns_rates else comp.k_t, 0.99), comp.k_min)
+    init_scores = init_scores_weight if comp.granularity == "weight" else init_scores_channel
     for layer in net.layers:
-        theta = layer.params.values
-        if comp.granularity == "weight":
-            layer.scores = Tensor(init_scores_weight(theta, layer.spec.fan_in))
-        else:
-            layer.scores = Tensor(init_scores_channel(theta, layer.spec.fan_in))
+        layer.scores = Tensor(init_scores(layer.params.values, layer.spec.fan_in))
         layer.quota = Tensor(np.asarray(r0))
     build_masks(net, comp.k_min)
 
@@ -117,31 +115,27 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
     init_pruning_state(net, comp, cfg.method)
     rng = _stage_rng(cfg.seed, "prune")
     epochs = cfg.prune_epochs
-    score_opt = _sgd(cfg.opt_scores, epochs) if cfg.method in ("harp", "scores-only") else None
-    rate_opt = _sgd(cfg.opt_rates, epochs) if cfg.method in ("harp", "rates-only") else None
+    learns_rates, learns_scores = METHODS[cfg.method]
+    score_opt = _sgd(cfg.opt_scores, epochs) if learns_scores else None
+    rate_opt = _sgd(cfg.opt_rates, epochs) if learns_rates else None
     history = []
     arrival = None  # the first epoch whose mean budget loss is exactly 0
     for epoch in range(1, epochs + 1):
         for opt in filter(None, (score_opt, rate_opt)):
             opt.set_epoch(epoch - 1)
         gamma = comp.gamma_step * (arrival or epoch)  # ramps, then freezes at arrival
-        stats = prune_epoch(net, comp, gamma, cfg.loss, cfg.attack,
-                            train.batches(cfg.batch_size, rng), score_opt, rate_opt, rng)
-        if arrival is None and stats.hw_loss_mean == 0.0:
+        record = prune_epoch(net, comp, gamma, cfg.loss, cfg.attack,
+                             train.batches(cfg.batch_size, rng), score_opt, rate_opt, rng)
+        if arrival is None and record["hw_loss"] == 0.0:
             arrival = epoch
-        history.append({
-            "epoch": epoch, "gamma": gamma, "robust_loss": stats.robust_loss_mean,
-            "hw_loss": stats.hw_loss_mean, "global_rate": stats.global_rate,
-            "layer_rates": stats.layer_rates,
-        })
-    final_rate = history[-1]["global_rate"]
-    if arrival is None and final_rate > comp.k_t * (1 + RATE_TOLERANCE):
+        history.append({"epoch": epoch, "gamma": gamma, **record})
+    result = PruneHistory(history, arrival)
+    if arrival is None and result.final_rate > comp.k_t * (1 + RATE_TOLERANCE):
         warnings.warn(
             f"target compression {comp.k_t} not reached after {cfg.prune_epochs} epochs; "
-            f"final rate {final_rate:.5f}",
+            f"final rate {result.final_rate:.5f}",
             stacklevel=2,
         )
-    result = PruneHistory(history, arrival, final_rate)
     if outdir is not None:
         outdir = Path(outdir)
         save_checkpoint(outdir / "prune.npz", net, "prune", cfg.seed, cfg.config_hash())
@@ -236,6 +230,13 @@ def sweep(base_cfg: RunConfig, k_values: list[float], methods: list[str],
     """
     cells = [(method, k_t, _with(base_cfg, method=method, k_t=k_t))
              for method in methods for k_t in k_values]  # every cell's config checked first
+    written = {}  # what a cell writes -> the cell: no cell may overwrite another's output
+    for method, k_t, _ in cells:
+        for output in (f"directory {method}_kt{k_t:g}", f"sweep.csv rows {method},{k_t:.6f}"):
+            if output in written:
+                raise ConfigError(f"sweep cells {written[output]} and {method} at k_t {k_t!r} "
+                                  f"would both write {output}")
+            written[output] = f"{method} at k_t {k_t!r}"
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     train, test = ingest(base_cfg.dataset, base_cfg.seed)

@@ -160,14 +160,6 @@ def hw_loss(current: float, full: float, k_t: float) -> float:
 # one epoch of strategy search
 
 
-@dataclass
-class PruneEpochStats:
-    robust_loss_mean: float
-    hw_loss_mean: float
-    global_rate: float
-    layer_rates: list[float]
-
-
 def budget_state(net: Network, cfg: CompressionConfig):
     """Budget-loss value, its derivative per mask entry, and the realized rate.
 
@@ -209,14 +201,15 @@ def prune_epoch(
     score_opt: SgdState | None,
     rate_opt: SgdState | None,
     rng: np.random.Generator,
-) -> PruneEpochStats:
+) -> dict:
     """One epoch of optimizing scores and quotas on the joint objective.
 
     Layer weights stay frozen; masks are rebuilt from the current (quota,
     scores) before every batch. Each layer's straight-through gradient is
     its mask tensor's gradient after the robust step. A ``None`` optimizer
     leaves its tensors' values fixed, holding the last batch's gradients.
-    Returns per-epoch means and the realized global rate.
+    Returns the epoch's prune-curve record: the mean robust and budget losses
+    over its batches, and the realized global and per-layer rates after it.
     """
     rob_losses = []
     hw_losses = []
@@ -247,10 +240,9 @@ def prune_epoch(
         retie_shortcut_quotas(net)
     build_masks(net, cfg.k_min)
     final_hw, _, global_rate = budget_state(net, cfg)
-    layer_rates = [g_activation(float(l.quota.values), cfg.k_min) for l in net.layers]
-    return PruneEpochStats(
-        robust_loss_mean=float(np.mean(rob_losses)) if rob_losses else 0.0,
-        hw_loss_mean=float(np.mean(hw_losses)) if hw_losses else final_hw,
-        global_rate=global_rate,
-        layer_rates=layer_rates,
-    )
+    return {
+        "robust_loss": float(np.mean(rob_losses)) if rob_losses else 0.0,
+        "hw_loss": float(np.mean(hw_losses)) if hw_losses else final_hw,
+        "global_rate": global_rate,
+        "layer_rates": [g_activation(float(l.quota.values), cfg.k_min) for l in net.layers],
+    }

@@ -3,8 +3,9 @@
 A strategy is a list of per-layer rates in ``net.layers`` order. Uniform,
 ERK-style density allocation, and LAMP-style global ranking give the
 non-learned baselines; ``apply_strategy`` installs percentile masks at any
-strategy's rates, which is also how the rate-only / score-only ablations
-and the uniform score-training baseline enter the pipeline.
+strategy's rates. The pipeline's methods do not pass through here: each
+learns rates, scores or both in the prune stage (``config.METHODS``), and a
+method that does not learn rates holds every layer at the target k_t.
 """
 
 from __future__ import annotations

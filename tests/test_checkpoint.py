@@ -1,9 +1,15 @@
 """Checkpoint save/load bit-exactness."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robustprune.tensor as T
 from robustprune import cli
@@ -110,3 +116,87 @@ def test_cli_rejects_malformed_checkpoint(tmp_path, capsys, change, named):
     assert cli.main(["eval", "--seed", "1", "--from", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+EVAL_ARGV = ["eval", "--seed", "1", "--arch", "mlp-small", "--attack-iters", "1"]
+
+
+def _eval_config(directory: Path) -> Path:
+    """A tiny dataset matching _doctored's mlp-small checkpoint (size 8, 2 classes)."""
+    path = directory / "tiny.cfg"
+    path.write_text("dataset.n = 40\ndataset.size = 8\ndataset.classes = 2\n")
+    return path
+
+
+DROP = object()
+
+
+def _edited_meta(key, value):
+    """A change that sets meta ``key`` to ``value``, or drops it when ``value`` is DROP."""
+    def change(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        if value is DROP:
+            meta.pop(key, None)
+        else:
+            meta[key] = value
+        arrays["meta"] = json.dumps(meta)
+    return change
+
+
+def _truncated(path: Path, fraction: float) -> Path:
+    data = path.read_bytes()
+    return _written(path, data[:int(len(data) * fraction)])
+
+
+def _written(path: Path, data: bytes) -> Path:
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("make,named", [
+    (lambda tmp: _doctored(tmp, _edited_meta("arch", "mlp-huge")), "meta arch"),
+    (lambda tmp: _doctored(tmp, _edited_meta("arch", DROP)), "meta arch"),
+    (lambda tmp: _doctored(tmp, _edited_meta("classes", "2")), "meta classes"),
+    (lambda tmp: _truncated(_doctored(tmp, lambda a: None), 0.5), "doctored.npz"),
+    (lambda tmp: _written(tmp / "notes.npz", b"not an npz file\n"), "notes.npz"),
+    (lambda tmp: _doctored(tmp, lambda a: a.update(meta="{arch: mlp-small")), "meta"),
+    (lambda tmp: _doctored(tmp, lambda a: a.update(theta_0=np.array(["x"]))), "theta_0 holds"),
+], ids=["unknown-arch", "no-arch", "string-classes", "truncated", "not-npz", "meta-not-json",
+        "string-array"])
+def test_cli_rejects_unreadable_checkpoint_without_traceback(tmp_path, capsys, make, named):
+    path = make(tmp_path)
+    assert cli.main([*EVAL_ARGV, "--config", str(_eval_config(tmp_path)), "--from", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+# the keys save_checkpoint writes, plus one it does not
+META_KEYS = ["format_version", "arch", "input_shape", "classes", "stage", "seed",
+             "config_hash", "layers", "extra"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@given(st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True).map(lambda f: ("truncate", f)),
+    st.tuples(st.sampled_from(META_KEYS), JSON_VALUES | st.just(DROP)).map(
+        lambda kv: ("meta", kv))))
+@settings(max_examples=60, deadline=None)
+def test_cli_eval_on_a_damaged_checkpoint_exits_0_or_2(edit):
+    kind, arg = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if kind == "truncate":
+            path = _truncated(_doctored(tmp, lambda a: None), arg)
+        else:
+            path = _doctored(tmp, _edited_meta(*arg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*EVAL_ARGV, "--config", str(_eval_config(tmp)), "--from", str(path),
+                             "--out", str(tmp / "out")])
+        assert code in (0, 2), err.getvalue()
+        assert (code == 2) == err.getvalue().startswith("error: ")

@@ -14,6 +14,7 @@ from robustprune import cli
 from robustprune.adversary import AttackConfig, RobustLossConfig, evaluate
 from robustprune.checkpoint import load_checkpoint, save_checkpoint
 from robustprune.config import (
+    METHODS,
     ConfigError,
     RunConfig,
     config_from_dict,
@@ -32,7 +33,8 @@ from robustprune.pipeline import (
     stage_prune,
     sweep,
 )
-from robustprune.pruning import RATE_TOLERANCE, CompressionConfig, PruneEpochStats, prune_epoch
+from robustprune.pruning import (RATE_TOLERANCE, CompressionConfig, init_rate, init_scores_weight,
+                                 prune_epoch)
 from robustprune.tensor import Tensor
 
 
@@ -161,25 +163,21 @@ def test_prune_curve_tracks_gamma(tiny_run):
     assert len(lines) == 1 + cfg.prune_epochs
 
 
-def test_scores_only_keeps_uniform_rates():
-    cfg = tiny_cfg(method="scores-only", epochs=(1, 2, 0), k_t=0.2)
+@pytest.mark.parametrize("method", list(METHODS))
+def test_prune_learns_what_the_method_table_says(method):
+    """Scores stay at their initial values exactly when the method does not learn scores;
+    quotas stay at the start rate (k_t if rates are fixed) exactly when it does not learn rates."""
+    learns_rates, learns_scores = METHODS[method]
+    cfg = tiny_cfg(method=method, epochs=(1, 2, 0), k_t=0.2)
+    comp = cfg.compression
     train, _ = ingest(cfg.dataset, cfg.seed)
     net = stage_pretrain(cfg, train)
-    net, history = stage_prune(cfg, net, train)
-    rates = history.epochs[-1]["layer_rates"]
-    assert all(r == pytest.approx(0.2, abs=1e-9) for r in rates)
-
-
-def test_rates_only_keeps_initial_scores():
-    cfg = tiny_cfg(method="rates-only", epochs=(1, 2, 0), k_t=0.05)
-    train, _ = ingest(cfg.dataset, cfg.seed)
-    net = stage_pretrain(cfg, train)
-    from robustprune.pruning import init_scores_weight
-
-    expected = [init_scores_weight(l.params.values, l.spec.fan_in) for l in net.layers]
+    initial = [init_scores_weight(l.params.values, l.spec.fan_in) for l in net.layers]
+    start = init_rate(comp.k_init if learns_rates else comp.k_t, comp.k_min)
     net, _ = stage_prune(cfg, net, train)
-    for exp, layer in zip(expected, net.layers):
-        assert np.array_equal(exp, layer.scores.values)
+    for scores, layer in zip(initial, net.layers):
+        assert np.array_equal(layer.scores.values, scores) != learns_scores, layer.spec.name
+        assert (float(layer.quota.values) == start) != learns_rates, layer.spec.name
 
 
 def test_prune_diverges_on_first_nonfinite_batch_without_update():
@@ -214,9 +212,9 @@ def test_unreached_target_warns_only_beyond_rate_tolerance(monkeypatch, excess, 
     # Never arrived (budget loss stays above 0): the final rate alone decides the warning.
     cfg = tiny_cfg(epochs=(0, 2, 0))
     final_rate = cfg.compression.k_t * (1 + excess)
-    stats = PruneEpochStats(robust_loss_mean=0.5, hw_loss_mean=1e-9,
-                            global_rate=final_rate, layer_rates=[final_rate] * 3)
-    monkeypatch.setattr("robustprune.pipeline.prune_epoch", lambda *args: stats)
+    record = {"robust_loss": 0.5, "hw_loss": 1e-9, "global_rate": final_rate,
+              "layer_rates": [final_rate] * 3}
+    monkeypatch.setattr("robustprune.pipeline.prune_epoch", lambda *args: record)
     train, _ = ingest(cfg.dataset, cfg.seed)
     net = stage_pretrain(cfg, train)
     with warnings.catch_warnings(record=True) as caught:
@@ -620,3 +618,20 @@ def test_cli_run_takes_seed_from_config(tmp_path):
                      *CLI_DATA]) == 0
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == (
         tmp_path / "b" / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k-values", "0.1", "0.1000001"],
+    ["--k-values", "0.5", "0.5"],
+    ["--k-values", "0.5", "--methods", "harp", "harp"],
+    ["--k-values", "1e-07", "2e-07"],
+], ids=["same-directory", "repeated-k", "repeated-method", "same-csv-k"])
+def test_cli_sweep_cells_that_collide_exit_2_before_training(tmp_path, capsys, flags):
+    # a cell directory is f"{method}_kt{k_t:g}" and sweep.csv prints k_t as :.6f
+    cfg = _write_tiny_dataset_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(cfg), "--seed", "3", "--out", str(out),
+                     *CLI_DATA, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "would both write" in err and "Traceback" not in err
+    assert not (out / "pretrain.npz").exists()

@@ -15,7 +15,6 @@ from robustprune.network import LayerSpec, Network, PrunableLayer, build_network
 from robustprune.pipeline import stage_prune
 from robustprune.pruning import (
     CompressionConfig,
-    PruneEpochStats,
     build_masks,
     g_activation,
     g_derivative,
@@ -401,9 +400,9 @@ def _scripted_prune(monkeypatch, gamma_step, hw_losses):
     cfg.prune_epochs = len(hw_losses)
     cfg.compression = CompressionConfig(k_t=0.5, gamma_step=gamma_step)
     scripted = iter(hw_losses)
-    monkeypatch.setattr("robustprune.pipeline.prune_epoch", lambda *args: PruneEpochStats(
-        robust_loss_mean=0.5, hw_loss_mean=next(scripted), global_rate=0.5,
-        layer_rates=[0.5] * 3))
+    monkeypatch.setattr("robustprune.pipeline.prune_epoch", lambda *args: {
+        "robust_loss": 0.5, "hw_loss": next(scripted), "global_rate": 0.5,
+        "layer_rates": [0.5] * 3})
     train, _ = ingest(cfg.dataset, cfg.seed)
     _, history = stage_prune(cfg, build_network(cfg.arch, (1, 8, 8), 2, seed=3), train)
     return [row["gamma"] for row in history.epochs], history.arrival_epoch
