@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .data import write_csv
 from .network import Network
 from .tensor import Tensor
 
@@ -201,8 +201,5 @@ def constraints_satisfied(x_adv: np.ndarray, x: np.ndarray, cfg: AttackConfig) -
 
 
 def metrics_to_csv(rows: list[MetricRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attack", "accuracy_pct", "epsilon", "iters"])
-        for r in rows:
-            writer.writerow([r.attack, f"{r.accuracy_pct:.4f}", f"{r.epsilon:.8f}", r.iters])
+    write_csv(path, ["attack", "accuracy_pct", "epsilon", "iters"],
+              [[r.attack, f"{r.accuracy_pct:.4f}", f"{r.epsilon:.8f}", r.iters] for r in rows])

@@ -7,13 +7,12 @@ Exit codes: 0 success, 2 bad configuration, data or checkpoint, 3 numerical dive
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
 from .adversary import LOSS_KINDS
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import METHODS, ConfigError, RunConfig, config_from_dict, parse_config_file, set_key
+from .config import METHODS, ConfigError, config_from_dict, parse_config_file, set_key
 from .data import DataFormatError, ingest
 from .pipeline import (
     DivergenceError,
@@ -40,7 +39,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-# Override flags and the config keys they set; types come from the defaults.
+# Override flags and the config keys they set; each value is typed by its key's default.
 OVERRIDES = {
     "--arch": "arch",
     "--method": "method",
@@ -67,11 +66,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="flat key-value config file")
     p.add_argument("--seed", type=int, help="run seed (or config key 'seed')")
     p.add_argument("--out", type=Path, default=Path("runs/out"), help="output directory")
-    defaults = RunConfig(seed=0).to_dict()
     for flag, key in OVERRIDES.items():
-        default = functools.reduce(dict.get, key.split("."), defaults)
-        p.add_argument(flag, dest=key, type=type(default), choices=CHOICES.get(key),
-                       help=f"set config key {key}")
+        p.add_argument(flag, dest=key, choices=CHOICES.get(key), help=f"set config key {key}")
 
 
 def _build_config(args):
@@ -150,7 +146,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    path = sweep(cfg, args.k_values, args.methods, args.out)
+    path = sweep(cfg, args.k_values or [cfg.compression.k_t], args.methods, args.out)
     print(f"sweep results written to {path}")
     return EXIT_OK
 
@@ -161,7 +157,7 @@ def _load_compatible(cfg, path):
     for key, found, expected in (
             ("arch", net.arch, cfg.arch),
             ("input_shape", list(net.input_shape), list(_input_shape(cfg))),
-            ("classes", net.classes, int(cfg.dataset.get("classes", 2)))):
+            ("classes", net.classes, cfg.dataset["classes"])):
         if found != expected:
             raise ConfigError(f"checkpoint {key} {found!r} does not match "
                               f"config {key} {expected!r}")
@@ -194,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="also write strategy_compare.csv: the checkpoint's per-layer "
                              "rates next to uniform/erk/lamp at compression.k_t")
     p_sweep = command("sweep", _cmd_sweep, "run a grid of target rates and methods")
-    p_sweep.add_argument("--k-values", type=float, nargs="+", default=[1.0, 0.1, 0.01, 0.001])
+    p_sweep.add_argument("--k-values", type=float, nargs="+",
+                         help="target rates k_t (default: the config's compression.k_t)")
     p_sweep.add_argument("--methods", nargs="+", default=list(METHODS))
 
     args = parser.parse_args(argv)

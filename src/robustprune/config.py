@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .adversary import AttackConfig, RobustLossConfig
@@ -19,8 +20,8 @@ from .pruning import CompressionConfig
 METHODS = {"harp": (True, True), "rates-only": (True, False), "scores-only": (False, True)}
 STAGE_KEYS = ("pretrain_epochs", "prune_epochs", "finetune_epochs")
 OPT_NAMES = ("pretrain", "finetune", "scores", "rates")
-# dataset keys without a default: the data files of the csv and idx kinds
-DATASET_FILE_KEYS = ("path", "images", "labels")
+# dataset keys without a default: the data files each file-backed kind needs
+DATASET_FILES = {"csv": ("path",), "idx": ("images", "labels")}
 
 
 class ConfigError(ValueError):
@@ -68,17 +69,22 @@ class RunConfig:
             raise ConfigError(f"arch must be one of {tuple(ARCHITECTURES)}, got {self.arch!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
-        for n in STAGE_KEYS:
+        for n in ("seed", *STAGE_KEYS):
             if getattr(self, n) < 0:
                 raise ConfigError(f"{n} must be >= 0")
         if self.prune_epochs < 1:
             raise ConfigError("prune_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        size = int(self.dataset.get("size", 16))
+        kind, size = self.dataset["kind"], self.dataset["size"]
+        for key in DATASET_FILES.get(kind, ()):
+            if key not in self.dataset:
+                raise ConfigError(f"dataset.kind {kind} needs dataset.{key}")
+        if size < 1:
+            raise ConfigError(f"dataset.size must be >= 1, got {size}")
         try:  # the architecture's own check, e.g. pooling needs divisible image sides
             _layout(self.arch, ARCHITECTURES[self.arch], (1, size, size),
-                    int(self.dataset.get("classes", 2)))
+                    self.dataset["classes"])
         except ValueError as exc:
             raise ConfigError(f"dataset.size {size}: {exc}") from None
         for name in ("opt_pretrain", "opt_finetune", "opt_scores", "opt_rates"):
@@ -98,22 +104,8 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _coerce(value: str):
-    low = value.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    try:
-        return int(low)
-    except ValueError:
-        pass
-    try:
-        return float(low)
-    except ValueError:
-        return low
-
-
 def parse_config_file(path) -> dict:
-    """Parse ``section.key = value`` lines into a nested dict."""
+    """Parse ``section.key = value`` lines into a nested dict of stripped text values."""
     tree: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -127,7 +119,7 @@ def parse_config_file(path) -> dict:
             if not all(key.split(".")):
                 raise ConfigError(f"{path}:{lineno}: empty key component in {key!r}")
             try:
-                set_key(tree, key, _coerce(value))
+                set_key(tree, key, value.strip())
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return tree
@@ -147,8 +139,8 @@ def set_key(tree: dict, key: str, value) -> None:
 def config_from_dict(tree: dict, seed: int | None = None) -> RunConfig:
     """Build and validate a RunConfig from a parsed config tree.
 
-    The tree is merged key by key over the defaults; each value is cast to
-    the type of its default and a key without a default is rejected.
+    The tree is merged key by key over the defaults; each value is typed by
+    its default (``_typed``) and a key without a default is rejected.
     """
     use_seed = seed if seed is not None else tree.get("seed")
     if use_seed is None:
@@ -180,7 +172,7 @@ def _merge(defaults: dict, tree: dict, prefix: str) -> dict:
     for key, value in tree.items():
         name = prefix + key
         if key not in defaults:
-            if prefix != "dataset." or key not in DATASET_FILE_KEYS:
+            if prefix != "dataset." or not any(key in keys for keys in DATASET_FILES.values()):
                 raise ConfigError(f"unknown config key {name!r}")
             out[key] = value
         elif isinstance(defaults[key], dict) != isinstance(value, dict):
@@ -189,9 +181,31 @@ def _merge(defaults: dict, tree: dict, prefix: str) -> dict:
         elif isinstance(value, dict):
             out[key] = _merge(defaults[key], value, name + ".")
         else:
-            try:
-                out[key] = type(defaults[key])(value)
-            except ValueError:
-                raise ConfigError(f"config key {name!r}: cannot read {value!r} as "
-                                  f"{type(defaults[key]).__name__}") from None
+            out[key] = _typed(name, defaults[key], value)
     return out
+
+
+def _typed(name: str, default, value):
+    """``value`` as the type of the key's default, or a ConfigError naming the key.
+
+    Text is read: a bool as true or false in any case, an int as a whole number, a float as
+    a finite number. A Python value must have the type, but an int widens and a whole float
+    narrows.
+    """
+    kind, given = type(default), value
+    if isinstance(value, str) and kind is bool:
+        value = {"true": True, "false": False}.get(value.lower(), value)
+    elif isinstance(value, str) and kind is not str:
+        for read in (int, float) if kind is int else (float,):  # int first: big ints stay exact
+            try:
+                value = read(value)
+                break
+            except ValueError:
+                pass
+    if kind is float and type(value) is int:
+        value = float(value)
+    elif kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"config key {name!r}: cannot read {given!r} as {kind.__name__}")
+    return value

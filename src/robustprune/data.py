@@ -1,4 +1,4 @@
-"""Dataset ingestion: synthetic blob generator, CSV, and IDX parsers.
+"""Dataset ingestion (synthetic blob generator, CSV and IDX parsers) and the CSV writer.
 
 All inputs are normalized into [0, 1]; splits are deterministic functions
 of the seed.
@@ -86,11 +86,19 @@ def _split(inputs: np.ndarray, labels: np.ndarray, seed: int,
     )
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """Write one CSV artifact: the header row, then each row of ``rows``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_csv(path, classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``label,pixel,...`` with pixels in [0, 255]; square grayscale images."""
     rows = []
     labels = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="replace") as fh:  # bytes that are not text fail as cells
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -98,6 +106,8 @@ def load_csv(path, classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
                 values = [float(v) for v in row]
             except ValueError as exc:
                 raise DataFormatError(f"{path}: non-numeric cell in row {lineno}") from exc
+            if not all(map(math.isfinite, values)):
+                raise DataFormatError(f"{path}: non-finite cell in row {lineno}")
             label = values[0]
             if label != int(label) or label < 0:
                 raise DataFormatError(f"{path}: invalid label {label} in row {lineno}")
@@ -113,6 +123,9 @@ def load_csv(path, classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
             side = int(np.sqrt(pixels.size))
             if side * side != pixels.size:
                 raise DataFormatError(f"{path}: row {lineno} is not a square image")
+            if rows and rows[0].size != pixels.size:
+                raise DataFormatError(f"{path}: row {lineno} has {pixels.size} pixels, "
+                                      f"the first row {rows[0].size}")
             rows.append(pixels.reshape(1, side, side) / 255.0)
             labels.append(int(label))
     if not rows:
@@ -131,10 +144,12 @@ def load_idx(images_path, labels_path, classes: int | None = None) -> tuple[np.n
             raise DataFormatError(
                 f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
             )
-        raw = fh.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise DataFormatError(f"{images_path}: truncated pixel data")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols) / 255.0
+        pixels = count * rows * cols
+        raw = fh.read()  # a header can claim any size: check it against the bytes there are
+        if len(raw) < pixels:
+            raise DataFormatError(f"{images_path}: header claims {pixels} pixels, "
+                                  f"file has {len(raw)}")
+        images = np.frombuffer(raw, np.uint8, pixels).reshape(count, 1, rows, cols) / 255.0
     with open(labels_path, "rb") as fh:
         header = fh.read(8)
         if len(header) < 8:
@@ -144,10 +159,11 @@ def load_idx(images_path, labels_path, classes: int | None = None) -> tuple[np.n
             raise DataFormatError(
                 f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
             )
-        raw = fh.read(n_labels)
-        if len(raw) != n_labels:
-            raise DataFormatError(f"{labels_path}: truncated label data")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        raw = fh.read()
+        if len(raw) < n_labels:
+            raise DataFormatError(f"{labels_path}: header claims {n_labels} labels, "
+                                  f"file has {len(raw)}")
+        labels = np.frombuffer(raw, np.uint8, n_labels).astype(np.int64)
     if n_labels != count:
         raise DataFormatError(f"IDX pair mismatch: {count} images vs {n_labels} labels")
     if classes is not None and labels.size and labels.max() >= classes:

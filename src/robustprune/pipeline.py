@@ -7,7 +7,6 @@ identical to one monolithic run.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from .adversary import (AttackConfig, DivergenceError, MetricRow, evaluate, metr
                         robust_step)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import METHODS, ConfigError, RunConfig, config_from_dict
-from .data import Dataset, ingest
+from .data import Dataset, ingest, write_csv
 from .network import Network, build_network, count_preserved, flops
 from .optim import CosineSchedule, SgdState, sgd_step
 from .pruning import (
@@ -59,8 +58,7 @@ def _train_theta(net: Network, cfg: RunConfig, train: Dataset, epochs: int,
 
 def stage_pretrain(cfg: RunConfig, train: Dataset, outdir: Path | None = None) -> Network:
     """Robustly train the dense model (all-ones masks)."""
-    net = build_network(cfg.arch, _input_shape(cfg), int(cfg.dataset.get("classes", 2)),
-                        seed=cfg.seed)
+    net = build_network(cfg.arch, _input_shape(cfg), cfg.dataset["classes"], seed=cfg.seed)
     rng = _stage_rng(cfg.seed, "pretrain")
     _train_theta(net, cfg, train, cfg.pretrain_epochs, cfg.opt_pretrain, rng, "pretrain")
     if outdir is not None:
@@ -78,18 +76,14 @@ class PruneHistory:
         return self.epochs[-1]["global_rate"]
 
     def save_csv(self, path, layer_names: list[str]) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["epoch", "gamma", "robust_loss", "hw_loss", "global_rate"]
-                + [f"rate_{n}" for n in layer_names]
-            )
-            for row in self.epochs:
-                writer.writerow(
-                    [row["epoch"], f"{row['gamma']:.6f}", f"{row['robust_loss']:.6f}",
-                     f"{row['hw_loss']:.8f}", f"{row['global_rate']:.8f}"]
-                    + [f"{r:.8f}" for r in row["layer_rates"]]
-                )
+        header = (["epoch", "gamma", "robust_loss", "hw_loss", "global_rate"]
+                  + [f"rate_{n}" for n in layer_names])
+        write_csv(path, header, [
+            [row["epoch"], f"{row['gamma']:.6f}", f"{row['robust_loss']:.6f}",
+             f"{row['hw_loss']:.8f}", f"{row['global_rate']:.8f}"]
+            + [f"{r:.8f}" for r in row["layer_rates"]]
+            for row in self.epochs
+        ])
 
 
 def init_pruning_state(net: Network, comp: CompressionConfig, method: str = "harp") -> None:
@@ -154,7 +148,7 @@ def stage_finetune(cfg: RunConfig, net: Network, train: Dataset,
 
 
 def _input_shape(cfg: RunConfig) -> tuple[int, ...]:
-    size = int(cfg.dataset.get("size", 16))
+    size = cfg.dataset["size"]
     return (1, size, size)
 
 
@@ -191,33 +185,30 @@ def write_summary(path, cfg: RunConfig, net: Network, rows: list[MetricRow]) -> 
     preserved, _ = count_preserved(net)
     cur_flops, _ = flops(net)
     full_flops, _ = flops(net, [np.ones(l.spec.weight_shape) for l in net.layers])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["config_hash", cfg.config_hash()])
-        writer.writerow(["method", cfg.method])
-        writer.writerow(["arch", cfg.arch])
-        writer.writerow(["seed", cfg.seed])
-        writer.writerow(["k_t", f"{cfg.compression.k_t:.8f}"])
-        writer.writerow(["global_rate", f"{preserved / net.total_params:.8f}"])
-        writer.writerow(["flops_rate", f"{cur_flops / full_flops:.8f}"])
-        for r in rows:
-            writer.writerow([f"accuracy_{r.attack}", f"{r.accuracy_pct:.4f}"])
+    write_csv(path, ["key", "value"], [
+        ["config_hash", cfg.config_hash()],
+        ["method", cfg.method],
+        ["arch", cfg.arch],
+        ["seed", cfg.seed],
+        ["k_t", f"{cfg.compression.k_t:.8f}"],
+        ["global_rate", f"{preserved / net.total_params:.8f}"],
+        ["flops_rate", f"{cur_flops / full_flops:.8f}"],
+        *([f"accuracy_{r.attack}", f"{r.accuracy_pct:.4f}"] for r in rows),
+    ])
 
 
 def weight_histograms(net: Network, path, bins: int = 20) -> None:
     """Per-layer histograms of retained (non-zero masked) weights."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "bin_lo", "bin_hi", "count"])
-        for layer in net.layers:
-            masked = layer.params.values * layer.broadcast_mask()
-            kept = masked[masked != 0]
-            if kept.size == 0:
-                continue
-            counts, edges = np.histogram(kept, bins=bins)
-            for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-                writer.writerow([layer.spec.name, f"{lo:.8f}", f"{hi:.8f}", int(c)])
+    rows = []
+    for layer in net.layers:
+        masked = layer.params.values * layer.broadcast_mask()
+        kept = masked[masked != 0]
+        if kept.size == 0:
+            continue
+        counts, edges = np.histogram(kept, bins=bins)
+        for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
+            rows.append([layer.spec.name, f"{lo:.8f}", f"{hi:.8f}", int(c)])
+    write_csv(path, ["layer", "bin_lo", "bin_hi", "count"], rows)
 
 
 def sweep(base_cfg: RunConfig, k_values: list[float], methods: list[str],
@@ -252,10 +243,7 @@ def sweep(base_cfg: RunConfig, k_values: list[float], methods: list[str],
         for r in write_reports(subdir, cfg, net, test):
             rows_out.append([method, f"{k_t:.6f}", r.attack, f"{r.accuracy_pct:.4f}"])
     path = outdir / "sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "k_t", "attack", "accuracy_pct"])
-        writer.writerows(rows_out)
+    write_csv(path, ["method", "k_t", "attack", "accuracy_pct"], rows_out)
     return path
 
 

@@ -10,10 +10,9 @@ method that does not learn rates holds every layer at the target k_t.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from .data import write_csv
 from .network import Network, flops
 from .pruning import _keep_count, _round_half_up, top_fraction_mask
 
@@ -138,24 +137,22 @@ def measure_strategy(net: Network) -> list[float]:
 
 def write_strategy(path, net: Network) -> None:
     """One row per layer: realized rate, kept weights and FLOPs of the installed masks."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "rate", "preserved_params", "preserved_flops"])
-        for layer, fl in zip(net.layers, flops(net)[1]):
-            kept = _kept(layer)
-            writer.writerow([layer.spec.name, f"{kept / layer.spec.weight_count:.10f}", kept, fl])
+    rows = []
+    for layer, fl in zip(net.layers, flops(net)[1]):
+        kept = _kept(layer)
+        rows.append([layer.spec.name, f"{kept / layer.spec.weight_count:.10f}", kept, fl])
+    write_csv(path, ["layer", "rate", "preserved_params", "preserved_flops"], rows)
 
 
 def write_strategy_compare(path, net: Network, strategies: list[tuple[str, list[float]]]) -> None:
     """Join named strategies into one CSV: a row per layer, a rate and a kept count per strategy."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["layer"]
-        for name, _ in strategies:
-            header += [f"{name}_rate", f"{name}_preserved"]
-        writer.writerow(header)
-        for i, layer in enumerate(net.layers):
-            row = [layer.spec.name]
-            for _, rates in strategies:
-                row += [f"{rates[i]:.10f}", _keep_count(rates[i], layer.spec.weight_count)]
-            writer.writerow(row)
+    header = ["layer"]
+    for name, _ in strategies:
+        header += [f"{name}_rate", f"{name}_preserved"]
+    rows = []
+    for i, layer in enumerate(net.layers):
+        row = [layer.spec.name]
+        for _, rates in strategies:
+            row += [f"{rates[i]:.10f}", _keep_count(rates[i], layer.spec.weight_count)]
+        rows.append(row)
+    write_csv(path, header, rows)

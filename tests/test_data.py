@@ -1,9 +1,13 @@
 """Dataset generation, parsing, normalization, and deterministic splits."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustprune import cli
 from robustprune.data import (
@@ -165,3 +169,52 @@ def test_cli_csv_image_size_mismatch_exits_2(tmp_path, capsys):
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert "dataset.size" in capsys.readouterr().err
+
+
+# cells a hand-edited or damaged CSV may hold; None cuts the row short at that column
+CSV_CELLS = ["nan", "inf", "-inf", "1e400", "-1", "0", "1", "1.7", "64", "255", "256", "true",
+             "no", "", "x", "\xff", None]
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 16), st.sampled_from(CSV_CELLS)),
+                min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_csv_with_edited_cells_loads_or_raises_data_format_error(edits):
+    rows = [[str(i % 2), *map(str, range(0, 256, 16))] for i in range(10)]  # 4x4 images
+    for row, col, cell in edits:
+        if cell is None:
+            del rows[row][col:]
+        elif col < len(rows[row]):
+            rows[row][col] = cell
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        path.write_bytes("".join(",".join(r) + "\n" for r in rows).encode("latin-1"))
+        try:
+            train, test = ingest({"kind": "csv", "path": str(path), "size": 4, "classes": 2,
+                                  "test_fraction": 0.3}, seed=1)
+        except DataFormatError:
+            return
+    for part in (train, test):
+        assert np.isfinite(part.inputs).all() and set(part.labels) <= {0, 1}
+
+
+@given(st.sampled_from(["images", "labels"]),
+       st.tuples(st.integers(0, 15), st.integers(0, 255))
+       | st.tuples(st.just("cut"), st.integers(0, 175)))
+@settings(max_examples=60, deadline=None)
+def test_idx_with_an_edited_header_or_cut_short_loads_or_raises_data_format_error(which, edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        img, lab, _, _ = _write_idx_pair(Path(tmp), n=10)
+        path = img if which == "images" else lab
+        raw = bytearray(path.read_bytes())
+        at, value = edit
+        if at == "cut":
+            del raw[value:]
+        else:  # one byte of the header: 16 bytes for images, 8 for labels
+            raw[at % (16 if which == "images" else 8)] = value
+        path.write_bytes(bytes(raw))
+        try:
+            ingest({"kind": "idx", "images": str(img), "labels": str(lab), "size": 4,
+                    "classes": 2, "test_fraction": 0.3}, seed=1)
+        except DataFormatError:
+            pass

@@ -1,13 +1,19 @@
 """Stage contracts, composability, determinism, and the CLI surface."""
 
 import argparse
+import contextlib
+import io
+import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robustprune.tensor as T
 from robustprune import cli
@@ -252,12 +258,11 @@ def test_parse_config_file(tmp_path):
         "dataset.kind = synthetic\n"
         "dataset.n = 100\n"
     )
-    tree = parse_config_file(path)
-    assert tree["arch"] == "mlp-small"
-    assert tree["compression"]["k_t"] == 0.01
-    assert tree["attack"]["random_init"] is True
-    cfg = config_from_dict(tree)
-    assert cfg.seed == 5 and cfg.compression.k_t == 0.01
+    cfg = config_from_dict(parse_config_file(path))
+    assert cfg.arch == "mlp-small"
+    assert cfg.compression.k_t == 0.01
+    assert cfg.attack.random_init is True
+    assert cfg.seed == 5 and cfg.dataset["n"] == 100
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -635,3 +640,122 @@ def test_cli_sweep_cells_that_collide_exit_2_before_training(tmp_path, capsys, f
     err = capsys.readouterr().err
     assert "would both write" in err and "Traceback" not in err
     assert not (out / "pretrain.npz").exists()
+
+
+def test_cli_sweep_defaults_to_the_configs_target(tmp_path):
+    cfg = _write_tiny_dataset_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(cfg), "--seed", "3", "--out", str(out),
+                     *CLI_DATA, "--methods", "harp"]) == 0
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["harp_kt0.2"]
+
+
+# --- outside input: every fault exits 2 with a message, never a traceback ---
+
+# a run of well under a second; the lines under test are written over it
+EDGE_BASE = {"seed": "3", "arch": "mlp-small", "dataset.n": "40", "dataset.size": "8",
+             "stages.pretrain_epochs": "1", "stages.prune_epochs": "1",
+             "stages.finetune_epochs": "0", "attack.iters": "1"}
+
+
+def _run_with(tmp, lines, flags=()):
+    cfg = tmp / "edge.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**EDGE_BASE, **lines}.items()))
+    return cli.main(["run", "--config", str(cfg), "--out", str(tmp / "out"), *flags])
+
+
+def _csv_with(row, col, cell):
+    """Config lines for a CSV dataset of 40 8x8 images whose cell (row, col) is ``cell``, or
+    whose row ``row`` is cut short at ``col`` when ``cell`` is None."""
+    def make(tmp):
+        rng = np.random.default_rng(4)
+        rows = [[str(i % 2), *map(str, rng.integers(0, 256, size=64))] for i in range(40)]
+        if cell is None:
+            del rows[row][col:]
+        else:
+            rows[row][col] = cell
+        path = tmp / "rows.csv"
+        path.write_bytes("".join(",".join(r) + "\n" for r in rows).encode("latin-1"))
+        return {"dataset.kind": "csv", "dataset.path": path}
+    return make
+
+
+def _idx_claiming_2_96_pixels(tmp):
+    images, labels = tmp / "images.idx", tmp / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, *[0xFFFFFFFF] * 3) + bytes(64))
+    labels.write_bytes(struct.pack(">II", 0x801, 1) + bytes(1))
+    return {"dataset.kind": "idx", "dataset.images": images, "dataset.labels": labels}
+
+
+# id -> (config lines, or a function of the directory that writes data files and returns
+# the lines; flags; what the message names)
+OUTSIDE_INPUT_FAULTS = {
+    "bool-read-as-no": ({"attack.random_init": "no"}, [], "attack.random_init"),
+    "fractional-epochs": ({"stages.pretrain_epochs": "1.7"}, [], "stages.pretrain_epochs"),
+    "fractional-batch": ({"batch_size": "16.9"}, [], "batch_size"),
+    "numeric-file-name": ({"dataset.kind": "csv", "dataset.path": "2024"}, [], "2024"),
+    "nan-epsilon-line": ({"attack.epsilon": "nan"}, [], "attack.epsilon"),
+    "nan-epsilon-flag": ({}, ["--epsilon", "nan"], "attack.epsilon"),
+    "nan-beta": ({"loss.beta": "nan"}, [], "loss.beta"),
+    "size-0-mlp": ({"dataset.size": "0"}, [], "dataset.size"),
+    "size-0-conv": ({"dataset.size": "0", "arch": "conv-small"}, [], "dataset.size"),
+    "size-negative": ({"dataset.size": "-4"}, [], "dataset.size"),
+    "seed-flag-negative": ({}, ["--seed", "-1"], "seed"),
+    "seed-line-negative": ({"seed": "-3"}, [], "seed"),
+    "csv-without-path": ({"dataset.kind": "csv"}, [], "dataset.path"),
+    "idx-without-labels": ({"dataset.kind": "idx", "dataset.images": "images.idx"}, [],
+                           "dataset.labels"),
+    "csv-label-1e400": (_csv_with(5, 0, "1e400"), [], "row 6"),
+    "csv-label-nan": (_csv_with(5, 0, "nan"), [], "row 6"),
+    "csv-pixel-nan": (_csv_with(5, 3, "nan"), [], "row 6"),
+    "csv-rows-of-two-sizes": (_csv_with(5, 17, None), [], "row 6"),  # 4x4 among 8x8
+    "csv-bytes-not-text": (_csv_with(5, 3, "\xff"), [], "row 6"),
+    "idx-claims-2-96-pixels": (_idx_claiming_2_96_pixels, [], "images.idx"),
+}
+
+
+@pytest.mark.parametrize("lines, flags, named", OUTSIDE_INPUT_FAULTS.values(),
+                         ids=OUTSIDE_INPUT_FAULTS.keys())
+def test_cli_outside_input_fault_exits_2_naming_it(tmp_path, monkeypatch, capsys, lines, flags,
+                                                   named):
+    monkeypatch.chdir(tmp_path)  # relative data-file names resolve here
+    if callable(lines):
+        lines = lines(tmp_path)
+    assert _run_with(tmp_path, lines, flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_data_file_named_like_a_number_loads(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = [",".join(map(str, [i % 2, *range(64)])) for i in range(10)]
+    (tmp_path / "2024").write_text("\n".join(rows) + "\n")
+    (tmp_path / "run.cfg").write_text("seed = 1\ndataset.kind = csv\ndataset.path = 2024\n"
+                                      "dataset.size = 8\n")
+    cfg = config_from_dict(parse_config_file(tmp_path / "run.cfg"))
+    train, test = ingest(cfg.dataset, cfg.seed)
+    assert len(train) + len(test) == 10
+
+
+def _config_keys(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _config_keys(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+# every number at most 64: dataset.size squared times fc1's width sets the memory a run takes
+EDGE_VALUES = ["nan", "inf", "-inf", "1e400", "-1", "0", "1", "1.7", "64", "true", "no", "", "x"]
+
+
+@given(st.sampled_from(list(_config_keys(RunConfig(seed=0).to_dict()))),
+       st.sampled_from(EDGE_VALUES))
+@settings(max_examples=30, deadline=None)
+def test_cli_run_with_any_key_at_an_edge_value_exits_0_2_or_3(key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = _run_with(Path(tmp), {key: value})
+    assert code in (0, 2, 3), err.getvalue()
+    assert (code != 0) == err.getvalue().startswith("error: ")
