@@ -56,13 +56,17 @@ def synthetic_blobs(n: int, size: int = 16, classes: int = 2, noise: float = 0.1
     if n < 0 or noise < 0:
         raise DataFormatError(f"sample count and noise must be >= 0, got n={n}, noise={noise}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
-    labels = np.tile(np.arange(classes), n // classes + 1)[:n]
+    try:
+        images = np.empty((n, 1, size, size))
+        labels = np.tile(np.arange(classes), n // classes + 1)[:n]
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise DataFormatError(f"dataset.n = {n}: {n * size * size * 8 / 2**30:.3g} GiB of "
+                              f"{size}x{size} images cannot be allocated") from exc
     rng.shuffle(labels)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     # class c sits at cell (c // g, c % g) of a g x g grid: 2-4 classes at 0.25 and 0.75
     g = max(2, math.ceil(math.sqrt(classes)))
     centers = [(size * (c // g + 0.5) / g, size * (c % g + 0.5) / g) for c in range(classes)]
-    images = np.empty((n, 1, size, size))
     for i, c in enumerate(labels):
         cy, cx = centers[c]
         cy += rng.normal(0, size * 0.06)

@@ -328,26 +328,36 @@ def max_pool2d(x: Tensor, window: int = 2) -> Tensor:
     # Running max over a contiguous slot-major copy; np.maximum carries NaN through.
     # The winner is the offset a*w + b of slot (a, b) from its window's top-left
     # pixel in x; offsets rise with the slot, so raising it on each strict > keeps
-    # the first max.
+    # the first max. The copy is made per block of examples in conv2d's 2^17-entry
+    # budget, so it stays in cache at the eval batch.
     ho, wo = h // window, w // window
-    slots = np.ascontiguousarray(x.values.reshape(batch, c, ho, window, wo, window)
-                                 .transpose(3, 5, 0, 1, 2, 4)).reshape(-1, batch, c, ho, wo)
+    block = _block(c, window, ho, wo)
+    n = min(block, batch)
     offsets = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
-    out_vals = slots[0].copy()
+    out_vals = np.empty((batch, c, ho, wo))
     winner = np.zeros(out_vals.shape, np.min_scalar_type(offsets[-1]))
-    beats = np.empty(out_vals.shape, bool)
-    for slot in range(1, window * window):
-        np.greater(slots[slot], out_vals, out=beats)
-        np.maximum(winner, beats.view(np.uint8) * winner.dtype.type(offsets[slot]), out=winner)
-        np.maximum(out_vals, slots[slot], out=out_vals)
+    for s in range(0, batch, block):
+        top, won = out_vals[s : s + block], winner[s : s + block]
+        m = len(top)
+        hit = np.empty(top.shape, bool)
+        slots = np.ascontiguousarray(x.values[s : s + m].reshape(m, c, ho, window, wo, window)
+                                     .transpose(3, 5, 0, 1, 2, 4)).reshape(-1, m, c, ho, wo)
+        top[...] = slots[0]
+        for slot in range(1, window * window):
+            np.greater(slots[slot], top, out=hit)
+            np.maximum(won, hit.view(np.uint8) * won.dtype.type(offsets[slot]), out=won)
+            np.maximum(top, slots[slot], out=top)
     out = Tensor(out_vals)
 
     def rule(g):
-        # flat index in x of each window's winner: its top-left pixel plus the offset
-        index = (np.arange(0, batch * c * h, window).reshape(batch, c, ho, 1) * w
-                 + np.arange(0, w, window) + winner)
+        # flat index in a block of x of each window's winner: its top-left pixel plus
+        # the offset; the corners of one block serve every block
+        corner = (np.arange(0, n * c * h, window).reshape(n, c, ho, 1) * w
+                  + np.arange(0, w, window))
         dx = np.zeros((batch, c, h, w))
-        dx.ravel()[index.ravel()] = g.ravel()
+        for s in range(0, batch, block):
+            won = winner[s : s + block]
+            dx[s : s + block].ravel()[(corner[: len(won)] + won).ravel()] = g[s : s + block].ravel()
         return (dx,)
 
     _record(out, (x,), rule)

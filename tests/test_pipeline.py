@@ -711,6 +711,9 @@ OUTSIDE_INPUT_FAULTS = {
     "csv-rows-of-two-sizes": (_csv_with(5, 17, None), [], "row 6"),  # 4x4 among 8x8
     "csv-bytes-not-text": (_csv_with(5, 3, "\xff"), [], "row 6"),
     "idx-claims-2-96-pixels": (_idx_claiming_2_96_pixels, [], "images.idx"),
+    # sample counts whose arrays exceed any address space, so nothing is ever filled
+    "n-beyond-c-long": ({"dataset.n": "1e30"}, [], "dataset.n"),
+    "n-beyond-memory": ({"dataset.n": str(10**15)}, [], "dataset.n"),
 }
 
 

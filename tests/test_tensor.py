@@ -10,7 +10,7 @@ from robustprune.optim import CosineSchedule, SgdState, sgd_step
 from robustprune.tensor import Tensor, backward
 
 from helpers import (conv2d_reference, finite_difference, grad_close, max_pool2d_reference,
-                     rel_err)
+                     rel_err, traced_peak)
 
 
 def test_relu_definition():
@@ -275,19 +275,56 @@ def test_input_grads_only_applies_to_ops_recorded_inside(op, reference, x_shape,
 
 
 # window 3 has an odd slot count; window 17 has 289 slots, so the winner index is uint16
-@pytest.mark.parametrize("window", [2, 3, 4, 17])
+@pytest.mark.parametrize("window,x_shape", [
+    pytest.param(2, (3, 2, 8, 12), id="2"),
+    pytest.param(3, (3, 2, 6, 9), id="3"),
+    pytest.param(4, (3, 2, 8, 12), id="4"),
+    pytest.param(17, (3, 2, 17, 34), id="17"),
+    # batches over several blocks ending in a partial one, with non-finite values
+    pytest.param(2, (45, 12, 16, 16), id="2-blocks-of-42"),
+    pytest.param(3, (35, 12, 18, 18), id="3-blocks-of-33"),
+    pytest.param(4, (45, 12, 16, 16), id="4-blocks-of-42"),
+])
 @pytest.mark.parametrize("kind", ["normal", "rounded", "constant", "relu"])
-def test_max_pool2d_bit_exact_against_reference(window, kind):
+def test_max_pool2d_bit_exact_against_reference(window, x_shape, kind):
     rng = np.random.default_rng(window)
-    hw = {3: (6, 9), 17: (17, 34)}.get(window, (8, 12))
-    x = rng.normal(size=(3, 2) + hw)
+    batch, c, h, w = x_shape
+    x = rng.normal(size=x_shape)
     # rounded and constant inputs put many equal values in one window
     x = {"normal": x, "rounded": np.round(x), "constant": np.full_like(x, 0.5),
          "relu": np.maximum(x, 0.0)}[kind]
-    g = rng.normal(size=(3, 2, hw[0] // window, hw[1] // window))
-    got = _run_op(lambda xt: T.max_pool2d(xt, window), x, g)
+    block = T._block(c, window, h // window, w // window)
+    if batch > block:
+        assert batch % block, "the last block must be partial"
+        # NaN, +inf and -inf in the first example of the second block and in the
+        # last example. The NaN takes its window's first slot: there the op's winner
+        # (the first max before the NaN) and the reference's (slot 0, as no value
+        # equals NaN) agree.
+        for i in (block, batch - 1):
+            x[i, 0, 0, 0], x[i, c - 1, window, window + 1] = np.nan, np.inf
+            x[i, c // 2, h - 1, w - 1] = -np.inf
+    g = rng.normal(size=(batch, c, h // window, w // window))
+    def pool(xt):
+        return T.max_pool2d(xt, window)
+
     want = max_pool2d_reference(x, window, g)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    got = _run_op(pool, x, g)
+    with T.input_grads_only():
+        inside = _run_op(pool, x, g)
+    for name, (out, dx) in (("recorded", got), ("input-grads-only", inside)):
+        assert np.array_equal(out, want[0], equal_nan=True), f"{name} out"
+        assert np.array_equal(dx, want[1]), f"{name} dx"
+    with T.no_grad():
+        out = pool(Tensor(x)).values
+    assert np.array_equal(out, want[0], equal_nan=True), "no-grad out"
+
+
+def test_max_pool2d_forward_at_the_eval_batch_copies_one_block():
+    # The slot-major copy is made per block of examples, so one forward at the eval
+    # batch peaks below the size of its own input (6 MiB); the whole-batch copy took
+    # 8.06 MiB here.
+    x = Tensor(np.random.default_rng(0).normal(size=(256, 12, 16, 16)))
+    assert traced_peak(lambda: T.max_pool2d(x)) < x.values.nbytes
 
 
 @pytest.mark.parametrize("window", [2, 3, 4, 17])
