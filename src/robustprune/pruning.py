@@ -121,16 +121,18 @@ def _keep_count(rate: float, n: int) -> int:
 def top_fraction_mask(scores: np.ndarray, rate: float) -> np.ndarray:
     """Binary mask keeping the top ``rate`` fraction by score, at least one entry.
 
-    One stable sort of the negated scores: ties keep flat-index order, which
-    makes the mask deterministic for any score vector.
+    Every score above the k-th largest (found by partition) and, of those equal
+    to it, the lowest flat indices: a stable sort's pick, for any score vector.
     """
     flat = np.asarray(scores, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("cannot rank an empty score array")
     if not np.isfinite(flat).all():
         raise ValueError("cannot rank non-finite scores")
-    mask = np.zeros(flat.size)
-    mask[np.argsort(-flat, kind="stable")[:_keep_count(rate, flat.size)]] = 1.0
+    keep = _keep_count(rate, flat.size)
+    kth = np.partition(flat, flat.size - keep)[flat.size - keep]
+    mask = (flat > kth).astype(np.float64)
+    mask[np.flatnonzero(flat == kth)[: keep - int(mask.sum())]] = 1.0
     return mask.reshape(np.asarray(scores).shape)
 
 

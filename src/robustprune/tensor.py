@@ -94,7 +94,7 @@ def no_grad():
 
 # Attack loops only need gradients along the input path. An op recorded while
 # this flag is lowered skips its weight gradient wherever its backward runs;
-# conv2d then keeps no patch matrix.
+# conv2d then keeps no padded input for its backward to rebuild patches from.
 _PARAM_GRADS = [True]
 
 
@@ -231,12 +231,12 @@ def _block(c_in: int, k: int, h_out: int, w_out: int) -> int:
     return max(1, _COL2IM_ENTRIES // (c_in * k * k * h_out * w_out))
 
 
-def _patches(xp: np.ndarray, k: int, h_out: int, w_out: int) -> np.ndarray:
-    """Patch matrix (n, c_in * k*k, h_out*w_out) of padded input; rows enumerate (c_in, a, b).
-    Contiguity matters: strided 3d operands knock matmul off the BLAS path."""
+def _columns(xp: np.ndarray, k: int, h_out: int, w_out: int) -> np.ndarray:
+    """Patch matrix (c_in * k*k, n, h_out*w_out) of padded input; rows enumerate (c_in, a, b).
+    dw takes it whole as one 2d operand; each example's slice still suits BLAS (strided rows)."""
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        len(xp), -1, h_out * w_out)
+    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(
+        -1, len(xp), h_out * w_out)
 
 
 def _col2im_index(c_in: int, hp: int, wp: int, k: int) -> np.ndarray:
@@ -271,36 +271,33 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     if h_out <= 0 or w_out <= 0:
         raise ShapeError(f"conv2d: kernel {k} too large for input {x.shape} with padding {padding}")
 
+    # Unpadded, xp is x's own array: like matmul, the weight gradient relies on
+    # activations not being mutated between forward and backward.
     xp = x.values
     if padding:
         xp = np.zeros((batch, c_in, h + 2 * padding, width + 2 * padding))
         xp[:, :, padding : padding + h, padding : padding + width] = x.values
     wmat = w.values.transpose(0, 2, 3, 1).reshape(c_in * k * k, c_out)
     need_x = _needs_grad(x)
-    if _RECORDING[-1] and _PARAM_GRADS[-1] and _needs_grad(w):
-        patches = _patches(xp, k, h_out, w_out)  # dw reads it
-        out_vals = wmat.T @ patches
-    else:
-        # no patch matrix outlives the forward: build and multiply it by blocks of
-        # examples; each example gets the same BLAS call as in the whole-batch product
-        patches = None
-        out_vals = np.empty((batch, c_out, h_out * w_out))
-        block = _block(c_in, k, h_out, w_out)
-        for s in range(0, batch, block):
-            np.matmul(wmat.T, _patches(xp[s : s + block], k, h_out, w_out),
-                      out=out_vals[s : s + block])
+    xp_dw = xp if _RECORDING[-1] and _PARAM_GRADS[-1] and _needs_grad(w) else None
+    # no patch matrix outlives the forward: build and multiply it by blocks of examples;
+    # each example gets the same BLAS call as in a whole-batch product
+    out_vals = np.empty((batch, c_out, h_out * w_out))
+    block = _block(c_in, k, h_out, w_out)
+    for s in range(0, batch, block):
+        np.matmul(wmat.T, _columns(xp[s : s + block], k, h_out, w_out).transpose(1, 0, 2),
+                  out=out_vals[s : s + block])
     out = Tensor(out_vals.reshape(batch, c_out, h_out, w_out))
 
     def rule(g):
         gmat = np.ascontiguousarray(g).reshape(batch, c_out, h_out * w_out)
-        dw = None
-        dx = None
-        if patches is not None:
-            dw = (
-                np.tensordot(patches, gmat, axes=([0, 2], [0, 2]))
-                .reshape(c_in, k, k, c_out)
-                .transpose(0, 3, 1, 2)
-            )
+        dw = dx = None
+        if xp_dw is not None:
+            # one dot of the rebuilt patch matrix: the call np.tensordot makes, so the
+            # bits match it, without tensordot's transposed copy of the patches
+            dw = np.dot(_columns(xp_dw, k, h_out, w_out).reshape(c_in * k * k, -1),
+                        gmat.transpose(0, 2, 1).reshape(-1, c_out))
+            dw = dw.reshape(c_in, k, k, c_out).transpose(0, 3, 1, 2)
         if need_x:
             # col2im by blocks of examples: bincount adds the patch gradients in their
             # (n, c_in, a, b, y, x) order, so each padded pixel sums in (a, b) order.

@@ -11,6 +11,7 @@ from robustprune.adversary import (
     evaluate,
     pgd,
     robust_loss,
+    robust_step,
 )
 from robustprune.data import synthetic_blobs
 from robustprune.network import build_network
@@ -282,3 +283,18 @@ def test_pgd_iteration_on_conv_small_at_eval_batch_stays_under_20_mib():
     cfg = AttackConfig(8 / 255, 2 / 255, iters=1, random_init=False)
     pgd(net, x, y, cfg)  # builds the per-geometry col2im indices, which persist
     assert traced_peak(lambda: pgd(net, x, y, cfg)) < 20 * 2**20
+
+
+def test_trades_step_on_resnet_tiny_at_training_batch_stays_under_10_mib():
+    # Two taped forwards per TRADES batch; for the weight gradient each conv keeps
+    # its padded input and its backward rebuilds the patch matrix, used once and
+    # freed. Keeping every conv's whole-batch patch matrix on the tape took 13.9 MiB.
+    net = build_network("resnet-tiny", (1, 16, 16), 2, seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0, 1, size=(32, 1, 16, 16)), rng.integers(0, 2, size=32)
+    def step():
+        robust_step(net, x, y, RobustLossConfig("trades"), AttackConfig(8 / 255, 2 / 255, 3),
+                    rng, "test")
+
+    step()  # builds the per-geometry col2im indices, which persist
+    assert traced_peak(step) < 10 * 2**20
