@@ -27,7 +27,7 @@ for epoch in range(15):
     opt.set_epoch(epoch)
     for x, y in train.batches(128, rng):
         with T.scoped_tape():
-            loss, _ = robust_loss(net, x, y, loss_cfg, attack, rng)
+            loss = robust_loss(net, x, y, loss_cfg, attack, rng)
             T.backward(loss)
         sgd_step(opt, params)
 print("adversarial training done")

@@ -48,7 +48,7 @@ class RobustLossConfig:
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
-            raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
+            raise ValueError(f"loss.kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if self.kind == "trades" and self.beta < 0:
             raise ValueError(f"trades beta must be >= 0, got {self.beta}")
 
@@ -107,7 +107,7 @@ def pgd(net: Network, x: np.ndarray, y: np.ndarray, cfg: AttackConfig,
 
 def robust_loss(net: Network, x: np.ndarray, y: np.ndarray,
                 loss_cfg: RobustLossConfig, attack_cfg: AttackConfig,
-                rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
+                rng: np.random.Generator | None = None) -> Tensor:
     """Adversarial training loss on one batch; differentiable through theta and masks.
 
     The inner maximization is treated as fixed: gradients do not flow back
@@ -116,19 +116,17 @@ def robust_loss(net: Network, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y)
     if loss_cfg.kind == "pgd-at":
         x_adv = pgd(net, x, y, attack_cfg, rng)
-        loss = T.softmax_cross_entropy(net.forward(Tensor(x_adv)), y)
-        return loss, x_adv
+        return T.softmax_cross_entropy(net.forward(Tensor(x_adv)), y)
     # trades: clean cross-entropy plus beta-weighted boundary KL
     with T.no_grad():
         clean_logits = net.forward(Tensor(np.asarray(x, dtype=np.float64))).values
     x_adv = pgd(net, x, y, attack_cfg, rng, clean_logits=clean_logits)
     logits_nat = net.forward(Tensor(np.asarray(x, dtype=np.float64)))
     logits_adv = net.forward(Tensor(x_adv))
-    loss = T.add(
+    return T.add(
         T.softmax_cross_entropy(logits_nat, y),
         T.scale(T.kl_divergence(logits_nat, logits_adv), loss_cfg.beta),
     )
-    return loss, x_adv
 
 
 def robust_step(net: Network, x: np.ndarray, y: np.ndarray, loss_cfg: RobustLossConfig,
@@ -139,7 +137,7 @@ def robust_step(net: Network, x: np.ndarray, y: np.ndarray, loss_cfg: RobustLoss
     not finite.
     """
     with T.scoped_tape():
-        loss, _ = robust_loss(net, x, y, loss_cfg, attack_cfg, rng)
+        loss = robust_loss(net, x, y, loss_cfg, attack_cfg, rng)
         if not np.isfinite(loss.item()):
             raise DivergenceError(f"{where}: loss diverged")
         T.backward(loss)

@@ -10,7 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .adversary import LOSS_KINDS
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import METHODS, ConfigError, config_from_dict, parse_config_file, set_key
 from .data import DataFormatError, ingest
@@ -25,7 +24,6 @@ from .pipeline import (
     weight_histograms,
     write_reports,
 )
-from .pruning import BUDGETS, GRANULARITIES
 from .strategies import (
     erk_strategy,
     lamp_strategy,
@@ -39,42 +37,22 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-# Override flags and the config keys they set; each value is typed by its key's default.
-OVERRIDES = {
-    "--arch": "arch",
-    "--method": "method",
-    "--k-t": "compression.k_t",
-    "--k-init": "compression.k_init",
-    "--gamma-step": "compression.gamma_step",
-    "--granularity": "compression.granularity",
-    "--budget": "compression.budget",
-    "--epochs-pretrain": "stages.pretrain_epochs",
-    "--epochs-prune": "stages.prune_epochs",
-    "--epochs-finetune": "stages.finetune_epochs",
-    "--batch-size": "batch_size",
-    "--epsilon": "attack.epsilon",
-    "--attack-step": "attack.step_size",
-    "--attack-iters": "attack.iters",
-    "--loss": "loss.kind",
-    "--beta": "loss.beta",
-}
-CHOICES = {"compression.granularity": GRANULARITIES, "compression.budget": BUDGETS,
-           "loss.kind": LOSS_KINDS}
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="flat key-value config file")
     p.add_argument("--seed", type=int, help="run seed (or config key 'seed')")
+    p.add_argument("--set", dest="overrides", action="append", default=[],
+                   metavar="KEY=VALUE", help="set a config key after the config file; "
+                   "repeatable, the last one wins")
     p.add_argument("--out", type=Path, default=Path("runs/out"), help="output directory")
-    for flag, key in OVERRIDES.items():
-        p.add_argument(flag, dest=key, choices=CHOICES.get(key), help=f"set config key {key}")
 
 
 def _build_config(args):
     tree = parse_config_file(args.config) if args.config else {}
-    for key in OVERRIDES.values():
-        if getattr(args, key) is not None:
-            set_key(tree, key, getattr(args, key))
+    for item in args.overrides:
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
+        set_key(tree, key.strip(), value.strip())
     return config_from_dict(tree, seed=args.seed)
 
 
@@ -133,7 +111,7 @@ def _cmd_eval(args) -> int:
                           ("lamp", lamp_strategy))]
         except ValueError as exc:
             raise ConfigError(f"--baselines at compression.k_t {k_t}: {exc}") from None
-        strategies = [("harp-learned", measure_strategy(net)), *baselines]
+        strategies = [("checkpoint", measure_strategy(net)), *baselines]
     rows = write_reports(args.out, cfg, net, test)
     if args.histograms:
         weight_histograms(net, args.out / "histograms.csv")

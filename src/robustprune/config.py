@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .adversary import AttackConfig, RobustLossConfig
+from .data import DATASET_DEFAULTS
 from .network import ARCHITECTURES, _layout
 from .pruning import CompressionConfig
 
@@ -48,10 +49,7 @@ class RunConfig:
     seed: int
     arch: str = "conv-small"
     method: str = "harp"  # a key of METHODS
-    dataset: dict = field(default_factory=lambda: {
-        "kind": "synthetic", "n": 2000, "size": 16, "classes": 2, "noise": 0.15,
-        "test_fraction": 0.2,
-    })
+    dataset: dict = field(default_factory=lambda: dict(DATASET_DEFAULTS))
     pretrain_epochs: int = 30
     prune_epochs: int = 20
     finetune_epochs: int = 100
@@ -115,11 +113,8 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
-            key = key.strip()
-            if not all(key.split(".")):
-                raise ConfigError(f"{path}:{lineno}: empty key component in {key!r}")
             try:
-                set_key(tree, key, value.strip())
+                set_key(tree, key.strip(), value.strip())
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return tree
@@ -127,6 +122,8 @@ def parse_config_file(path) -> dict:
 
 def set_key(tree: dict, key: str, value) -> None:
     """Set a dotted ``section.key`` in a nested config tree."""
+    if not all(key.split(".")):
+        raise ConfigError(f"empty key component in {key!r}")
     *sections, leaf = key.split(".")
     node = tree
     for part in sections:

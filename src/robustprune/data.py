@@ -16,6 +16,9 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# the dataset descriptor's defaults; a run config's dataset section starts from a copy
+DATASET_DEFAULTS = {"kind": "synthetic", "n": 2000, "size": 16, "classes": 2, "noise": 0.15,
+                    "test_fraction": 0.2}
 
 
 class DataFormatError(ValueError):
@@ -48,7 +51,7 @@ class Dataset:
             yield self.inputs[sel], self.labels[sel]
 
 
-def synthetic_blobs(n: int, size: int = 16, classes: int = 2, noise: float = 0.15,
+def synthetic_blobs(n: int, size: int, classes: int, noise: float,
                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Class-balanced images with one Gaussian blob whose location encodes the class."""
     if classes < 2:
@@ -176,31 +179,22 @@ def load_idx(images_path, labels_path, classes: int | None = None) -> tuple[np.n
 
 
 def ingest(descriptor: dict, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Build (train, test) from a dataset descriptor.
+    """Build (train, test) from a dataset descriptor merged over ``DATASET_DEFAULTS``.
 
-    Descriptor keys: ``kind`` in {synthetic, csv, idx}; synthetic takes
-    n/size/classes/noise, csv takes path, idx takes images/labels paths.
-    Loaded images must be ``size`` x ``size`` when the descriptor gives a size.
-    ``test_fraction`` (default 0.2) controls the deterministic split.
+    ``kind`` in {synthetic, csv, idx}; synthetic takes n/size/classes/noise, csv takes
+    path, idx takes images/labels paths. Loaded images must be ``size`` x ``size`` and
+    their labels below ``classes``. ``test_fraction`` controls the deterministic split.
     """
-    kind = descriptor.get("kind")
-    test_fraction = float(descriptor.get("test_fraction", 0.2))
-    classes = int(descriptor["classes"]) if "classes" in descriptor else None
+    d = {**DATASET_DEFAULTS, **descriptor}
+    kind, size, classes, test_fraction = d["kind"], d["size"], d["classes"], d["test_fraction"]
     if kind == "synthetic":
-        inputs, labels = synthetic_blobs(
-            n=int(descriptor.get("n", 2000)),
-            size=int(descriptor.get("size", 16)),
-            classes=int(descriptor.get("classes", 2)),
-            noise=float(descriptor.get("noise", 0.15)),
-            seed=seed,
-        )
+        inputs, labels = synthetic_blobs(d["n"], size, classes, d["noise"], seed)
     elif kind == "csv":
-        inputs, labels = load_csv(Path(descriptor["path"]), classes)
+        inputs, labels = load_csv(Path(d["path"]), classes)
     elif kind == "idx":
-        inputs, labels = load_idx(Path(descriptor["images"]), Path(descriptor["labels"]), classes)
+        inputs, labels = load_idx(Path(d["images"]), Path(d["labels"]), classes)
     else:
         raise DataFormatError(f"unknown dataset kind {kind!r}")
-    size = int(descriptor.get("size", inputs.shape[3]))
     if inputs.shape[2:] != (size, size):
         raise DataFormatError(f"{kind} images are {inputs.shape[2]}x{inputs.shape[3]}, "
                               f"not dataset.size x dataset.size = {size}x{size}")

@@ -45,9 +45,10 @@ class CompressionConfig:
         if self.gamma_step <= 0.0:
             raise ValueError(f"gamma step must be positive, got {self.gamma_step}")
         if self.granularity not in GRANULARITIES:
-            raise ValueError(f"granularity must be one of {GRANULARITIES}")
+            raise ValueError(f"compression.granularity must be one of {GRANULARITIES}, "
+                             f"got {self.granularity!r}")
         if self.budget not in BUDGETS:
-            raise ValueError(f"budget must be one of {BUDGETS}")
+            raise ValueError(f"compression.budget must be one of {BUDGETS}, got {self.budget!r}")
         if self.budget == "flops" and self.granularity != "channel":
             raise ValueError("the flops budget requires channel granularity")
 

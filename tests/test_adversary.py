@@ -115,7 +115,6 @@ def test_pgd_constraints_exact(toy_net, batch):
 
 def test_pgd_increases_loss_on_trained_net():
     # train a few epochs, then the attack should raise the loss on >= 95%
-    from robustprune.adversary import robust_loss as rl
     from robustprune.optim import SgdState, sgd_step
 
     rng = np.random.default_rng(6)
@@ -127,7 +126,7 @@ def test_pgd_increases_loss_on_trained_net():
     no_attack = AttackConfig(0.0, 0.0, 1)
     for _ in range(30):
         with T.scoped_tape():
-            loss, _ = rl(net, x, y, clean_cfg, no_attack)
+            loss = robust_loss(net, x, y, clean_cfg, no_attack)
             T.backward(loss)
         sgd_step(opt, params)
 
@@ -171,8 +170,8 @@ def test_pgd_multi_step_beats_fgsm_loss(toy_net):
 def test_robust_loss_pgd_at_zero_eps_is_clean_ce(toy_net, batch):
     x, y = batch
     with T.scoped_tape():
-        adv_loss, _ = robust_loss(toy_net, x, y, RobustLossConfig("pgd-at"),
-                                  AttackConfig(0.0, 0.0, 1))
+        adv_loss = robust_loss(toy_net, x, y, RobustLossConfig("pgd-at"),
+                               AttackConfig(0.0, 0.0, 1))
     with T.scoped_tape():
         clean = T.softmax_cross_entropy(toy_net.forward(Tensor(x)), y)
     assert adv_loss.item() == clean.item()
@@ -181,8 +180,8 @@ def test_robust_loss_pgd_at_zero_eps_is_clean_ce(toy_net, batch):
 def test_robust_loss_trades_beta_zero_is_clean_ce(toy_net, batch):
     x, y = batch
     with T.scoped_tape():
-        loss, _ = robust_loss(toy_net, x, y, RobustLossConfig("trades", beta=0.0),
-                              AttackConfig(0.05, 0.0125, 3), np.random.default_rng(1))
+        loss = robust_loss(toy_net, x, y, RobustLossConfig("trades", beta=0.0),
+                           AttackConfig(0.05, 0.0125, 3), np.random.default_rng(1))
     with T.scoped_tape():
         clean = T.softmax_cross_entropy(toy_net.forward(Tensor(x)), y)
     assert loss.item() == pytest.approx(clean.item(), abs=1e-15)
@@ -191,11 +190,11 @@ def test_robust_loss_trades_beta_zero_is_clean_ce(toy_net, batch):
 def test_robust_loss_trades_kl_nonnegative(toy_net, batch):
     x, y = batch
     with T.scoped_tape():
-        l0, _ = robust_loss(toy_net, x, y, RobustLossConfig("trades", beta=0.0),
-                            AttackConfig(0.05, 0.0125, 3), np.random.default_rng(2))
+        l0 = robust_loss(toy_net, x, y, RobustLossConfig("trades", beta=0.0),
+                         AttackConfig(0.05, 0.0125, 3), np.random.default_rng(2))
     with T.scoped_tape():
-        l6, _ = robust_loss(toy_net, x, y, RobustLossConfig("trades", beta=6.0),
-                            AttackConfig(0.05, 0.0125, 3), np.random.default_rng(2))
+        l6 = robust_loss(toy_net, x, y, RobustLossConfig("trades", beta=6.0),
+                         AttackConfig(0.05, 0.0125, 3), np.random.default_rng(2))
     assert l6.item() >= l0.item() - 1e-12
 
 

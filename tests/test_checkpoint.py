@@ -118,7 +118,7 @@ def test_cli_rejects_malformed_checkpoint(tmp_path, capsys, change, named):
     assert named in err and "Traceback" not in err
 
 
-EVAL_ARGV = ["eval", "--seed", "1", "--arch", "mlp-small", "--attack-iters", "1"]
+EVAL_ARGV = ["eval", "--seed", "1", "--set", "arch=mlp-small", "--set", "attack.iters=1"]
 
 
 def _eval_config(directory: Path) -> Path:

@@ -21,20 +21,20 @@ from robustprune.data import (
 
 
 def test_blobs_balanced_classes():
-    _, labels = synthetic_blobs(2000, size=16, classes=2, seed=0)
+    _, labels = synthetic_blobs(2000, size=16, classes=2, noise=0.15, seed=0)
     counts = np.bincount(labels)
     assert counts[0] == counts[1] == 1000
 
 
 def test_blobs_values_in_unit_interval():
-    images, _ = synthetic_blobs(100, size=16, classes=2, seed=1)
+    images, _ = synthetic_blobs(100, size=16, classes=2, noise=0.15, seed=1)
     assert images.min() >= 0.0 and images.max() <= 1.0
     assert images.shape == (100, 1, 16, 16)
 
 
 def test_blobs_deterministic():
-    a, la = synthetic_blobs(50, seed=3)
-    b, lb = synthetic_blobs(50, seed=3)
+    a, la = synthetic_blobs(50, 16, 2, 0.15, seed=3)
+    b, lb = synthetic_blobs(50, 16, 2, 0.15, seed=3)
     assert np.array_equal(a, b) and np.array_equal(la, lb)
 
 
@@ -127,7 +127,7 @@ def test_idx_bad_magic(tmp_path):
 def test_idx_ingest(tmp_path):
     img, lab, _, _ = _write_idx_pair(tmp_path, n=10)
     train, test = ingest({"kind": "idx", "images": str(img), "labels": str(lab),
-                          "classes": 2, "test_fraction": 0.3}, seed=1)
+                          "size": 4, "test_fraction": 0.3}, seed=1)
     assert len(train) == 7 and len(test) == 3
 
 
@@ -165,7 +165,7 @@ def test_cli_csv_image_size_mismatch_exits_2(tmp_path, capsys):
     data.write_text("\n".join(rows) + "\n")
     config = tmp_path / "csv.cfg"  # 8x8 images, no dataset.size line: the default is 16
     config.write_text(f"dataset.kind = csv\ndataset.path = {data}\n")
-    argv = ["run", "--config", str(config), "--seed", "1", "--arch", "mlp-small",
+    argv = ["run", "--config", str(config), "--seed", "1", "--set", "arch=mlp-small",
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert "dataset.size" in capsys.readouterr().err

@@ -351,6 +351,13 @@ def test_partial_dataset_section_merges_over_defaults():
     assert csv_cfg.dataset["path"] == "rows.csv" and csv_cfg.dataset["size"] == 16
 
 
+def test_config_file_rejects_an_empty_key_component(tmp_path):
+    path = tmp_path / "empty.cfg"
+    path.write_text("seed = 1\na..b = 1\n")
+    with pytest.raises(ConfigError, match=r"empty\.cfg:2: empty key component in 'a\.\.b'"):
+        parse_config_file(path)
+
+
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "typo.cfg"
     path.write_text("compression.kt = 0.5\n")
@@ -358,41 +365,84 @@ def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     assert "compression.kt" in capsys.readouterr().err
 
 
-# flag -> (config key, a non-default value), written out independently of cli.OVERRIDES
-CLI_FLAGS = {
-    "--arch": ("arch", "resnet-tiny"),
-    "--method": ("method", "rates-only"),
-    "--k-t": ("compression.k_t", 0.3),
-    "--k-init": ("compression.k_init", 0.5),
-    "--gamma-step": ("compression.gamma_step", 0.02),
-    "--granularity": ("compression.granularity", "channel"),
-    "--budget": ("compression.budget", "flops"),
-    "--epochs-pretrain": ("stages.pretrain_epochs", 4),
-    "--epochs-prune": ("stages.prune_epochs", 5),
-    "--epochs-finetune": ("stages.finetune_epochs", 6),
-    "--batch-size": ("batch_size", 16),
-    "--epsilon": ("attack.epsilon", 0.05),
-    "--attack-step": ("attack.step_size", 0.01),
-    "--attack-iters": ("attack.iters", 3),
-    "--loss": ("loss.kind", "trades"),
-    "--beta": ("loss.beta", 2.5),
+# --- CLI ---
+
+
+def _sets(*items):
+    """``--set`` arguments for ``KEY=VALUE`` items."""
+    return [arg for item in items for arg in ("--set", item)]
+
+
+def _cli_config(*argv) -> dict:
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser)
+    return cli._build_config(parser.parse_args(list(argv))).to_dict()
+
+
+def _leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def _leaf(tree, key):
+    for part in key.split("."):
+        tree = tree[part]
+    return tree
+
+
+# every config key -> a non-default value, written out independently of RunConfig
+CLI_KEYS = {
+    "seed": 9, "arch": "resnet-tiny", "method": "rates-only", "batch_size": 16,
+    "dataset.kind": "csv", "dataset.path": "rows.csv", "dataset.n": 500, "dataset.size": 8,
+    "dataset.classes": 3, "dataset.noise": 0.3, "dataset.test_fraction": 0.25,
+    "stages.pretrain_epochs": 4, "stages.prune_epochs": 5, "stages.finetune_epochs": 6,
+    "compression.k_t": 0.3, "compression.k_init": 0.5, "compression.gamma_step": 0.02,
+    "compression.granularity": "channel", "compression.budget": "flops",
+    "attack.epsilon": 0.05, "attack.step_size": 0.01, "attack.iters": 3,
+    "attack.random_init": False, "loss.kind": "trades", "loss.beta": 2.5,
+    **{f"opt.{name}.{key}": value + i / 100 for i, name in enumerate(
+        ("pretrain", "finetune", "scores", "rates"))
+       for key, value in (("lr", 0.25), ("momentum", 0.5), ("weight_decay", 0.001))},
 }
 
 
-def test_every_cli_override_flag_sets_its_key():
-    assert set(cli.OVERRIDES) == set(CLI_FLAGS)
-    parser = argparse.ArgumentParser()
-    cli._add_common(parser)
-    argv = ["--seed", "1"] + [s for flag, (_, v) in CLI_FLAGS.items() for s in (flag, str(v))]
-    tree = cli._build_config(parser.parse_args(argv)).to_dict()
-    for flag, (key, value) in CLI_FLAGS.items():
-        node = tree
-        for part in key.split("."):
-            node = node[part]
-        assert node == value and type(node) is type(value), flag
+def test_cli_set_gives_every_key_its_typed_value():
+    defaults = RunConfig(seed=0).to_dict()
+    keys = list(_leaves(defaults))
+    assert len(keys) == 36 and set(keys) < set(CLI_KEYS)
+    tree = _cli_config(*_sets(*(f"{key}={value}" for key, value in CLI_KEYS.items())))
+    for key, value in CLI_KEYS.items():
+        got = _leaf(tree, key)
+        assert got == value and type(got) is type(value), key
+        if key in keys:
+            assert got != _leaf(defaults, key), key
 
 
-# --- CLI ---
+def test_cli_later_set_wins_and_every_set_beats_the_config_file(tmp_path):
+    path = tmp_path / "k.cfg"
+    path.write_text("compression.k_t = 0.5\nattack.iters = 4\n")
+    tree = _cli_config(*_sets("compression.k_t=0.3"), "--config", str(path), "--seed", "1",
+                       *_sets("dataset.n=300", "compression.k_t=0.2"))
+    assert tree["compression"]["k_t"] == 0.2 and tree["attack"]["iters"] == 4
+    assert tree["dataset"]["n"] == 300
+
+
+@pytest.mark.parametrize("item, named", [
+    ("compression.k_t", "--set 'compression.k_t': expected KEY=VALUE"),
+    ("compression.kt=0.5", "unknown config key 'compression.kt'"),
+    ("attack.iters=1.5", "config key 'attack.iters': cannot read '1.5' as int"),
+    ("compression.granularity=block", "compression.granularity must be one of"),
+    ("a..b=1", "empty key component in 'a..b'"),
+], ids=["no-equals", "unknown-key", "fractional-int", "not-a-choice", "empty-component"])
+def test_cli_bad_set_exits_2_naming_the_key_before_writing(tmp_path, capsys, item, named):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--seed", "1", "--out", str(out), *CLI_DATA, "--set", item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def _cli(*args):
@@ -402,9 +452,9 @@ def _cli(*args):
     )
 
 
-CLI_DATA = ["--arch", "mlp-small", "--epochs-pretrain", "1", "--epochs-prune", "2",
-            "--epochs-finetune", "1", "--attack-iters", "2", "--k-t", "0.2",
-            "--batch-size", "64"]
+CLI_DATA = _sets("arch=mlp-small", "stages.pretrain_epochs=1", "stages.prune_epochs=2",
+                 "stages.finetune_epochs=1", "attack.iters=2", "compression.k_t=0.2",
+                 "batch_size=64")
 
 
 def _write_tiny_dataset_cfg(tmp_path):
@@ -456,7 +506,17 @@ def test_cli_stagewise_and_eval(tmp_path):
     for name in ("metrics.csv", "strategy.csv", "summary.csv", "histograms.csv"):
         assert (out / name).exists(), name
     header = (out / "strategy_compare.csv").read_text().splitlines()[0].split(",")
-    assert header[1::2] == [f"{n}_rate" for n in ("harp-learned", "uniform", "erk", "lamp")]
+    assert header[1::2] == [f"{n}_rate" for n in ("checkpoint", "uniform", "erk", "lamp")]
+
+
+def test_cli_eval_baselines_name_the_checkpoints_columns_by_no_method(tmp_path):
+    out = tmp_path / "scores-only"
+    argv = ["--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed", "4", "--out", str(out),
+            *CLI_DATA, "--set", "method=scores-only"]
+    assert cli.main(["run", *argv]) == 0
+    assert cli.main(["eval", *argv, "--from", str(out / "final.npz"), "--baselines"]) == 0
+    header = (out / "strategy_compare.csv").read_text().splitlines()[0]
+    assert header.startswith("layer,checkpoint_rate,checkpoint_preserved,uniform_rate")
 
 
 def test_cli_arch_mismatch_is_config_error(tmp_path):
@@ -465,8 +525,7 @@ def test_cli_arch_mismatch_is_config_error(tmp_path):
     res = _cli("pretrain", "--config", str(cfg), "--seed", "4", "--out", str(out), *CLI_DATA)
     assert res.returncode == 0
     res = _cli("prune", "--config", str(cfg), "--seed", "4", "--out", str(out),
-               "--from", str(out / "pretrain.npz"), "--arch", "conv-small",
-               *[a for a in CLI_DATA if a not in ("--arch", "mlp-small")])
+               "--from", str(out / "pretrain.npz"), *CLI_DATA, "--set", "arch=conv-small")
     assert res.returncode == 2
 
 
@@ -501,8 +560,8 @@ def test_cli_prune_exits_3_naming_layer_with_non_finite_scores(tmp_path, capsys)
     save_checkpoint(tmp_path / "pretrain.npz", net, "pretrain", seed=4, config_hash="x")
     with np.errstate(over="ignore", invalid="ignore"):
         code = cli.main(["prune", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path),
-                         "--from", str(tmp_path / "pretrain.npz"), "--granularity", "channel",
-                         *CLI_DATA])
+                         "--from", str(tmp_path / "pretrain.npz"),
+                         "--set", "compression.granularity=channel", *CLI_DATA])
     assert code == 3
     err = capsys.readouterr().err
     assert "fc2: scores or quota not finite" in err and "Traceback" not in err
@@ -527,10 +586,11 @@ def test_histogram_counts_match_preserved(tmp_path, tiny_run):
 def test_cli_strategy_reports_run_flops_for_channel_masks(tmp_path):
     cfg = _write_tiny_dataset_cfg(tmp_path)
     out = tmp_path / "chan"
-    argv = ["--config", str(cfg), "--seed", "5", "--arch", "conv-small",
-            "--granularity", "channel", "--k-t", "0.3", "--k-init", "0.5",
-            "--epochs-pretrain", "1", "--epochs-prune", "1", "--epochs-finetune", "0",
-            "--attack-iters", "1", "--batch-size", "64"]
+    argv = ["--config", str(cfg), "--seed", "5",
+            *_sets("arch=conv-small", "compression.granularity=channel", "compression.k_t=0.3",
+                   "compression.k_init=0.5", "stages.pretrain_epochs=1",
+                   "stages.prune_epochs=1", "stages.finetune_epochs=0", "attack.iters=1",
+                   "batch_size=64")]
     assert cli.main(["run", *argv, "--out", str(out)]) == 0
     assert cli.main(["eval", *argv, "--out", str(out / "eval"),
                      "--from", str(out / "final.npz")]) == 0
@@ -549,7 +609,7 @@ def test_cli_eval_baselines_beyond_the_budget_exit_2_before_writing(tmp_path, ca
     # k_t 1e-4 keeps 1 of 6,208 weights: lamp cannot give each of the three layers one
     assert cli.main(["eval", "--config", str(cfg), "--seed", "4", "--out", str(out),
                      "--from", str(tmp_path / "final.npz"), "--baselines", *CLI_DATA,
-                     "--k-t", "0.0001"]) == 2
+                     "--set", "compression.k_t=0.0001"]) == 2
     err = capsys.readouterr().err
     assert "cannot give every layer one weight" in err and "Traceback" not in err
     assert not list(out.iterdir())
@@ -560,8 +620,9 @@ STAGED_ARTIFACTS = ("metrics.csv", "strategy.csv", "summary.csv", "prune_curve.c
 
 
 @pytest.mark.parametrize("flags", [
-    ["--arch", "mlp-small"],
-    ["--arch", "resnet-tiny", "--granularity", "channel", "--budget", "flops", "--k-t", "0.5"],
+    _sets("arch=mlp-small"),
+    _sets("arch=resnet-tiny", "compression.granularity=channel", "compression.budget=flops",
+          "compression.k_t=0.5"),
 ], ids=["mlp-small-weight", "resnet-tiny-channel-flops"])
 def test_cli_staged_run_writes_what_run_writes(tmp_path, flags):
     argv = ["--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed", "6", *CLI_DATA, *flags]
@@ -591,7 +652,7 @@ def test_sweep_cell_writes_what_run_all_writes(tmp_path, tiny_run):
     ("dataset.test_fraction = 1.0", []),
     ("dataset.n = 0", []),
     ("dataset.noise = -1", []),
-    ("dataset.size = 6", ["--arch", "conv-small"]),
+    ("dataset.size = 6", ["--set", "arch=conv-small"]),
 ], ids=["test-fraction-0", "test-fraction-1", "n-0", "negative-noise", "conv-small-size-6"])
 def test_cli_bad_dataset_exits_2_before_training(tmp_path, capsys, line, flags):
     cfg = _write_tiny_dataset_cfg(tmp_path)
@@ -695,7 +756,7 @@ OUTSIDE_INPUT_FAULTS = {
     "fractional-batch": ({"batch_size": "16.9"}, [], "batch_size"),
     "numeric-file-name": ({"dataset.kind": "csv", "dataset.path": "2024"}, [], "2024"),
     "nan-epsilon-line": ({"attack.epsilon": "nan"}, [], "attack.epsilon"),
-    "nan-epsilon-flag": ({}, ["--epsilon", "nan"], "attack.epsilon"),
+    "nan-epsilon-flag": ({}, ["--set", "attack.epsilon=nan"], "attack.epsilon"),
     "nan-beta": ({"loss.beta": "nan"}, [], "loss.beta"),
     "size-0-mlp": ({"dataset.size": "0"}, [], "dataset.size"),
     "size-0-conv": ({"dataset.size": "0", "arch": "conv-small"}, [], "dataset.size"),
