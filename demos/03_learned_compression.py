@@ -14,7 +14,7 @@ from robustprune.checkpoint import load_checkpoint
 from robustprune.network import count_preserved
 from robustprune.pipeline import run_all
 from robustprune.pruning import CompressionConfig
-from robustprune.strategies import measure_strategy, uniform_strategy
+from robustprune.strategies import uniform_strategy
 
 out = Path("runs/demo_compression")
 cfg = RunConfig(seed=7, arch="mlp-small", method="harp")
@@ -29,7 +29,7 @@ for r in rows:
     print(f"{r.attack:>8}: {r.accuracy_pct:5.1f}%")
 
 net = load_checkpoint(out / "final.npz").build()
-learned = measure_strategy(net)
+learned = [l.broadcast_mask().sum() / l.spec.weight_count for l in net.layers]
 uniform = uniform_strategy(net, cfg.compression.k_t)
 _, kept = count_preserved(net)
 print(f"\n{'layer':>6}  {'learned rate':>12}  {'uniform rate':>12}  {'kept':>6}")

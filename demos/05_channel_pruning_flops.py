@@ -23,7 +23,7 @@ cfg = RunConfig(seed=5, arch="resnet-tiny", method="harp")
 cfg.dataset = {"kind": "synthetic", "n": 1500, "size": 16, "classes": 2,
                "noise": 0.15, "test_fraction": 0.2}
 cfg.pretrain_epochs, cfg.prune_epochs, cfg.finetune_epochs = 10, 20, 10
-cfg.compression = CompressionConfig(k_t=0.5, k_init=1.0, gamma_step=0.02,
+cfg.compression = CompressionConfig(k_t=0.5, k_init=0.99, gamma_step=0.02,
                                     granularity="channel", budget="flops")
 cfg.attack = AttackConfig(8 / 255, 2 / 255, 5)
 

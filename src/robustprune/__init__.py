@@ -22,7 +22,6 @@ from .strategies import (
     apply_strategy,
     erk_strategy,
     lamp_strategy,
-    measure_strategy,
     uniform_strategy,
 )
 from .tensor import Tensor, backward, no_grad, scoped_tape

@@ -24,13 +24,6 @@ from .pipeline import (
     weight_histograms,
     write_reports,
 )
-from .strategies import (
-    erk_strategy,
-    lamp_strategy,
-    measure_strategy,
-    uniform_strategy,
-    write_strategy_compare,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,21 +96,9 @@ def _cmd_finetune(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg, net, _, test = _from_checkpoint(args)
-    if args.baselines:  # before any report: a k_t too small for a baseline writes nothing
-        k_t = cfg.compression.k_t
-        try:
-            baselines = [(name, make(net, k_t)) for name, make in
-                         (("uniform", uniform_strategy), ("erk", erk_strategy),
-                          ("lamp", lamp_strategy))]
-        except ValueError as exc:
-            raise ConfigError(f"--baselines at compression.k_t {k_t}: {exc}") from None
-        strategies = [("checkpoint", measure_strategy(net)), *baselines]
     rows = write_reports(args.out, cfg, net, test)
     if args.histograms:
         weight_histograms(net, args.out / "histograms.csv")
-    if args.baselines:
-        write_strategy_compare(args.out / "strategy_compare.csv", net, strategies)
-        print(f"comparison written to {args.out / 'strategy_compare.csv'}")
     _print_rows(rows)
     return EXIT_OK
 
@@ -164,9 +145,6 @@ def main(argv: list[str] | None = None) -> int:
                      "metrics.csv, strategy.csv and summary.csv", "checkpoint to evaluate")
     p_eval.add_argument("--histograms", action="store_true",
                         help="also export per-layer retained-weight histograms")
-    p_eval.add_argument("--baselines", action="store_true",
-                        help="also write strategy_compare.csv: the checkpoint's per-layer "
-                             "rates next to uniform/erk/lamp at compression.k_t")
     p_sweep = command("sweep", _cmd_sweep, "run a grid of target rates and methods")
     p_sweep.add_argument("--k-values", type=float, nargs="+",
                          help="target rates k_t (default: the config's compression.k_t)")

@@ -14,11 +14,16 @@ from dataclasses import dataclass, field, fields
 
 from .adversary import AttackConfig, RobustLossConfig
 from .data import DATASET_DEFAULTS
-from .network import ARCHITECTURES, _layout
+from .network import ARCHITECTURES, _layout, build_network
 from .pruning import CompressionConfig
+from .strategies import ALLOCATIONS
 
-# Each method by what its prune stage learns: (per-layer rates, connection scores).
-METHODS = {"harp": (True, True), "rates-only": (True, False), "scores-only": (False, True)}
+# Each method by where its prune stage takes (per-layer rates, connection scores) from.
+# Rates are "learned" or a fixed allocation of strategies.ALLOCATIONS at k_t; scores are
+# "learned", "init" (the initial scores, frozen) or "magnitude" (their absolute values, frozen).
+METHODS = {"harp": ("learned", "learned"), "rates-only": ("learned", "init"),
+           "scores-only": ("uniform", "learned"), "uniform": ("uniform", "magnitude"),
+           "erk": ("erk", "magnitude"), "lamp": ("lamp", "magnitude")}
 STAGE_KEYS = ("pretrain_epochs", "prune_epochs", "finetune_epochs")
 OPT_NAMES = ("pretrain", "finetune", "scores", "rates")
 # dataset keys without a default: the data files each file-backed kind needs
@@ -87,6 +92,13 @@ class RunConfig:
             raise ConfigError(f"dataset.size {size}: {exc}") from None
         for name in ("opt_pretrain", "opt_finetune", "opt_scores", "opt_rates"):
             getattr(self, name).validate(name)
+        allocate = ALLOCATIONS.get(METHODS[self.method][0])
+        if allocate is not None:  # its feasibility reads only the layer specs of a fresh network
+            k_t = self.compression.k_t
+            try:
+                allocate(build_network(self.arch, (1, size, size), self.dataset["classes"]), k_t)
+            except ValueError as exc:
+                raise ConfigError(f"method {self.method} at compression.k_t {k_t}: {exc}") from None
 
     def to_dict(self) -> dict:
         tree = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -101,7 +101,7 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def load_csv(path, classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def load_csv(path, classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``label,pixel,...`` with pixels in [0, 255]; square grayscale images."""
     rows = []
     labels = []
@@ -118,7 +118,7 @@ def load_csv(path, classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
             label = values[0]
             if label != int(label) or label < 0:
                 raise DataFormatError(f"{path}: invalid label {label} in row {lineno}")
-            if classes is not None and int(label) >= classes:
+            if int(label) >= classes:
                 raise DataFormatError(
                     f"{path}: label {int(label)} out of range (classes={classes}) in row {lineno}"
                 )
@@ -140,7 +140,7 @@ def load_csv(path, classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(rows), np.array(labels, dtype=np.int64)
 
 
-def load_idx(images_path, labels_path, classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def load_idx(images_path, labels_path, classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Big-endian IDX pair: magic 0x803 image file plus magic 0x801 label file."""
     with open(images_path, "rb") as fh:
         header = fh.read(16)
@@ -173,7 +173,7 @@ def load_idx(images_path, labels_path, classes: int | None = None) -> tuple[np.n
         labels = np.frombuffer(raw, np.uint8, n_labels).astype(np.int64)
     if n_labels != count:
         raise DataFormatError(f"IDX pair mismatch: {count} images vs {n_labels} labels")
-    if classes is not None and labels.size and labels.max() >= classes:
+    if labels.size and labels.max() >= classes:
         raise DataFormatError(f"{labels_path}: label {labels.max()} out of range (classes={classes})")
     return images, labels
 

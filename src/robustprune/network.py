@@ -27,15 +27,11 @@ class LayerSpec:
 
     @property
     def fan_in(self) -> int:
-        """Receptive-field size times input channels (c_i for fc)."""
-        if self.kind == "fc":
-            return self.c_i
+        """Receptive-field size times input channels (c_i for fc, a 1x1 kernel)."""
         return self.c_i * self.kernel * self.kernel
 
     @property
     def weight_count(self) -> int:
-        if self.kind == "fc":
-            return self.c_i * self.c_o
         return self.c_i * self.c_o * self.kernel * self.kernel
 
     @property
@@ -221,8 +217,8 @@ def flops(net: Network, masks: list[np.ndarray] | None = None) -> tuple[float, l
     """Multiply-accumulate counts per layer from the retained channel structure.
 
     A channel counts as retained when any weight touching it survives the
-    mask. Conv layers cost retained_ci * retained_co * k^2 * spatial_out^2;
-    fc layers cost retained_ci * retained_co. ``masks``, if given, are
+    mask. A layer costs retained_ci * retained_co * k^2 * spatial_out^2 (an
+    fc layer is a 1x1 kernel at spatial_out 1). ``masks``, if given, are
     weight-shaped and stand in for the installed ones.
     """
     per_layer = []
@@ -232,8 +228,5 @@ def flops(net: Network, masks: list[np.ndarray] | None = None) -> tuple[float, l
         reduce_axes = tuple(range(1, alive.ndim))
         ci = int(np.any(alive, axis=reduce_axes).sum())
         co = int(np.any(alive, axis=(0,) + tuple(range(2, alive.ndim))).sum())
-        cost = float(ci * co)
-        if layer.spec.kind != "fc":
-            cost *= layer.spec.kernel**2 * layer.spec.spatial_out**2
-        per_layer.append(cost)
+        per_layer.append(float(ci * co * layer.spec.kernel**2 * layer.spec.spatial_out**2))
     return sum(per_layer), per_layer

@@ -29,7 +29,7 @@ from .pruning import (
     init_scores_weight,
     prune_epoch,
 )
-from .strategies import write_strategy
+from .strategies import ALLOCATIONS, write_strategy
 from .tensor import Tensor
 
 
@@ -86,32 +86,36 @@ class PruneHistory:
         ])
 
 
-def init_pruning_state(net: Network, comp: CompressionConfig, method: str = "harp") -> None:
-    """Initialize scores from the pre-trained weights and quotas at a uniform rate.
+def init_pruning_state(net: Network, comp: CompressionConfig,
+                       method: str = "harp") -> list[float] | None:
+    """Initialize scores from the pre-trained weights and the rates from the method's sources,
+    then build the masks.
 
-    Every quota starts at the same value, so shortcut quotas start tied: at
-    k_init, or at the target k_t for a method that does not learn rates.
+    Learned rates start every quota at k_init, so shortcut quotas start tied. A fixed
+    allocation is computed once at k_t, keeps no quotas, and is returned for every later
+    mask rebuild.
     """
-    learns_rates, _ = METHODS[method]
-    # the inverse of the rate activation needs the start strictly inside (k_min, 1)
-    r0 = init_rate(min(comp.k_init if learns_rates else comp.k_t, 0.99), comp.k_min)
+    rate_source, score_source = METHODS[method]
+    rates = ALLOCATIONS[rate_source](net, comp.k_t) if rate_source in ALLOCATIONS else None
+    r0 = init_rate(comp.k_init, comp.k_min)
     init_scores = init_scores_weight if comp.granularity == "weight" else init_scores_channel
     for layer in net.layers:
-        layer.scores = Tensor(init_scores(layer.params.values, layer.spec.fan_in))
-        layer.quota = Tensor(np.asarray(r0))
-    build_masks(net, comp.k_min)
+        scores = init_scores(layer.params.values, layer.spec.fan_in)
+        layer.scores = Tensor(np.abs(scores) if score_source == "magnitude" else scores)
+        layer.quota = Tensor(np.asarray(r0)) if rates is None else None
+    build_masks(net, comp.k_min, rates)
+    return rates
 
 
 def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
                 outdir: Path | None = None) -> tuple[Network, PruneHistory]:
     """Strategy search: optimize scores and quotas, weights frozen."""
     comp = cfg.compression
-    init_pruning_state(net, comp, cfg.method)
+    rates = init_pruning_state(net, comp, cfg.method)
     rng = _stage_rng(cfg.seed, "prune")
     epochs = cfg.prune_epochs
-    learns_rates, learns_scores = METHODS[cfg.method]
-    score_opt = _sgd(cfg.opt_scores, epochs) if learns_scores else None
-    rate_opt = _sgd(cfg.opt_rates, epochs) if learns_rates else None
+    score_opt = _sgd(cfg.opt_scores, epochs) if METHODS[cfg.method][1] == "learned" else None
+    rate_opt = _sgd(cfg.opt_rates, epochs) if rates is None else None
     history = []
     arrival = None  # the first epoch whose mean budget loss is exactly 0
     for epoch in range(1, epochs + 1):
@@ -119,7 +123,7 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
             opt.set_epoch(epoch - 1)
         gamma = comp.gamma_step * (arrival or epoch)  # ramps, then freezes at arrival
         record = prune_epoch(net, comp, gamma, cfg.loss, cfg.attack,
-                             train.batches(cfg.batch_size, rng), score_opt, rate_opt, rng)
+                             train.batches(cfg.batch_size, rng), score_opt, rate_opt, rng, rates)
         if arrival is None and record["hw_loss"] == 0.0:
             arrival = epoch
         history.append({"epoch": epoch, "gamma": gamma, **record})
@@ -219,15 +223,16 @@ def sweep(base_cfg: RunConfig, k_values: list[float], methods: list[str],
     ``<outdir>/pretrain.npz``; each cell prunes, fine-tunes and reports from
     there into its own directory, writing what ``run_all`` writes.
     """
+    written = {}  # what a cell writes -> the cell: no cell may overwrite another's output
+    for method in methods:
+        for k_t in k_values:
+            for output in (f"directory {method}_kt{k_t:g}", f"sweep.csv rows {method},{k_t:.6f}"):
+                if output in written:
+                    raise ConfigError(f"sweep cells {written[output]} and {method} at k_t "
+                                      f"{k_t!r} would both write {output}")
+                written[output] = f"{method} at k_t {k_t!r}"
     cells = [(method, k_t, _with(base_cfg, method=method, k_t=k_t))
              for method in methods for k_t in k_values]  # every cell's config checked first
-    written = {}  # what a cell writes -> the cell: no cell may overwrite another's output
-    for method, k_t, _ in cells:
-        for output in (f"directory {method}_kt{k_t:g}", f"sweep.csv rows {method},{k_t:.6f}"):
-            if output in written:
-                raise ConfigError(f"sweep cells {written[output]} and {method} at k_t {k_t!r} "
-                                  f"would both write {output}")
-            written[output] = f"{method} at k_t {k_t!r}"
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     train, test = ingest(base_cfg.dataset, base_cfg.seed)

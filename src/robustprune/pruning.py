@@ -28,7 +28,8 @@ class CompressionConfig:
     """Target rate and the knobs controlling how it is reached.
 
     k_min is fixed at one tenth of the target so no layer can be removed
-    completely; k_init seeds every quota at the same uniform rate.
+    completely; k_init seeds every learned quota at the same uniform rate,
+    strictly inside (k_min, 1) where the rate activation can be inverted.
     """
 
     k_t: float
@@ -40,8 +41,8 @@ class CompressionConfig:
     def __post_init__(self):
         if not 0.0 < self.k_t <= 1.0:
             raise ValueError(f"target rate must be in (0, 1], got {self.k_t}")
-        if not self.k_min < self.k_init <= 1.0:
-            raise ValueError(f"k_init must be in (k_min, 1], got {self.k_init}")
+        if not self.k_min < self.k_init < 1.0:
+            raise ValueError(f"compression.k_init must be in (k_min, 1), got {self.k_init}")
         if self.gamma_step <= 0.0:
             raise ValueError(f"gamma step must be positive, got {self.gamma_step}")
         if self.granularity not in GRANULARITIES:
@@ -137,15 +138,29 @@ def top_fraction_mask(scores: np.ndarray, rate: float) -> np.ndarray:
     return mask.reshape(np.asarray(scores).shape)
 
 
-def build_masks(net: Network, k_min: float) -> None:
-    """Rebuild every layer's mask from its quota and scores (DivergenceError if not finite)."""
+def _install_masks(net: Network, rates: list[float], scores: list[np.ndarray]) -> None:
+    """Mask every layer to the top ``rate`` fraction of its ``scores``."""
+    for layer, rate, s in zip(net.layers, rates, scores):
+        layer.set_mask(top_fraction_mask(s, rate))
+
+
+def _layer_rates(net: Network, k_min: float, rates: list[float] | None) -> list[float]:
+    """The fixed ``rates`` if given, else each layer's quota through the rate activation."""
+    if rates is not None:
+        return rates
+    return [g_activation(float(l.quota.values), k_min) for l in net.layers]
+
+
+def build_masks(net: Network, k_min: float, rates: list[float] | None = None) -> None:
+    """Rebuild every layer's mask from its scores, at the fixed ``rates`` if given and at
+    its quota's rate otherwise (DivergenceError if scores or quota are not finite)."""
     for layer in net.layers:
-        if layer.scores is None or layer.quota is None:
+        state = [layer.scores] if rates is not None else [layer.scores, layer.quota]
+        if any(t is None for t in state):
             raise ValueError(f"{layer.spec.name}: scores/quota not initialized")
-        quota = float(layer.quota.values)
-        if not (math.isfinite(quota) and np.isfinite(layer.scores.values).all()):
+        if not all(np.isfinite(t.values).all() for t in state):
             raise DivergenceError(f"{layer.spec.name}: scores or quota not finite")
-        layer.set_mask(top_fraction_mask(layer.scores.values, g_activation(quota, k_min)))
+    _install_masks(net, _layer_rates(net, k_min, rates), [l.scores.values for l in net.layers])
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +192,8 @@ def budget_state(net: Network, cfg: CompressionConfig):
     else:
         current, _ = flops(net)
         full, _ = flops(net, [np.ones(l.spec.weight_shape) for l in net.layers])
-        unit_costs = [np.full(l.spec.weight_shape, 1.0 if l.spec.kind == "fc" else
-                              float(l.spec.spatial_out**2)) for l in net.layers]
+        unit_costs = [np.full(l.spec.weight_shape, float(l.spec.spatial_out**2))
+                      for l in net.layers]
     loss = hw_loss(current, full, cfg.k_t)
     dloss = 1.0 / (cfg.k_t * full) if current > cfg.k_t * full else 0.0
     unit_grads = [dloss * l.reduce_to_mask(c) for l, c in zip(net.layers, unit_costs)]
@@ -204,6 +219,7 @@ def prune_epoch(
     score_opt: SgdState | None,
     rate_opt: SgdState | None,
     rng: np.random.Generator,
+    rates: list[float] | None = None,
 ) -> dict:
     """One epoch of optimizing scores and quotas on the joint objective.
 
@@ -211,6 +227,7 @@ def prune_epoch(
     scores) before every batch. Each layer's straight-through gradient is
     its mask tensor's gradient after the robust step. A ``None`` optimizer
     leaves its tensors' values fixed, holding the last batch's gradients.
+    Fixed ``rates`` stand in for the quotas, which then get no gradient.
     Returns the epoch's prune-curve record: the mean robust and budget losses
     over its batches, and the realized global and per-layer rates after it.
     """
@@ -222,7 +239,7 @@ def prune_epoch(
     for x, y in batches:
         if tie_channels:
             retie_shortcut_quotas(net)
-        build_masks(net, cfg.k_min)
+        build_masks(net, cfg.k_min, rates)
         hw_value, hw_unit, _ = budget_state(net, cfg)
 
         rob_losses.append(robust_step(net, x, y, loss_cfg, attack_cfg, rng, "prune"))
@@ -230,10 +247,11 @@ def prune_epoch(
 
         for layer, unit in zip(net.layers, hw_unit):
             ste = layer.mask_tensor.grad
-            slope = g_derivative(float(layer.quota.values), cfg.k_min)
             layer.scores.grad = layer.reduce_to_mask(ste) + gamma * unit
-            layer.quota.grad = np.asarray(float(ste.sum()) * slope
-                                          + gamma * float(unit.sum()) * slope)
+            if rates is None:
+                slope = g_derivative(float(layer.quota.values), cfg.k_min)
+                layer.quota.grad = np.asarray(float(ste.sum()) * slope
+                                              + gamma * float(unit.sum()) * slope)
         if score_opt is not None:
             sgd_step(score_opt, scores)
         if rate_opt is not None:
@@ -241,11 +259,11 @@ def prune_epoch(
 
     if tie_channels:
         retie_shortcut_quotas(net)
-    build_masks(net, cfg.k_min)
+    build_masks(net, cfg.k_min, rates)
     final_hw, _, global_rate = budget_state(net, cfg)
     return {
         "robust_loss": float(np.mean(rob_losses)) if rob_losses else 0.0,
         "hw_loss": float(np.mean(hw_losses)) if hw_losses else final_hw,
         "global_rate": global_rate,
-        "layer_rates": [g_activation(float(l.quota.values), cfg.k_min) for l in net.layers],
+        "layer_rates": _layer_rates(net, cfg.k_min, rates),
     }

@@ -1,11 +1,10 @@
-"""Fixed layer-rate allocation schemes and the strategy CSV writers.
+"""Fixed layer-rate allocation schemes and the strategy CSV writer.
 
 A strategy is a list of per-layer rates in ``net.layers`` order. Uniform,
-ERK-style density allocation, and LAMP-style global ranking give the
-non-learned baselines; ``apply_strategy`` installs percentile masks at any
-strategy's rates. The pipeline's methods do not pass through here: each
-learns rates, scores or both in the prune stage (``config.METHODS``), and a
-method that does not learn rates holds every layer at the target k_t.
+ERK-style density allocation, and LAMP-style global ranking are the fixed
+rate sources of ``config.METHODS``: the prune stage computes one once at k_t
+and rebuilds every mask at its rates. ``apply_strategy`` installs percentile
+masks at any strategy's rates.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 from .data import write_csv
 from .network import Network, flops
-from .pruning import _keep_count, _round_half_up, top_fraction_mask
+from .pruning import _install_masks, _round_half_up
 
 
 def uniform_strategy(net: Network, k_t: float) -> list[float]:
@@ -107,6 +106,10 @@ def lamp_strategy(net: Network, k_t: float) -> list[float]:
     return [int(c) / l.spec.weight_count for l, c in zip(net.layers, counts)]
 
 
+# The fixed rate sources a method can name in config.METHODS.
+ALLOCATIONS = {"uniform": uniform_strategy, "erk": erk_strategy, "lamp": lamp_strategy}
+
+
 def apply_strategy(net: Network, rates: list[float],
                    scores: list[np.ndarray] | None = None) -> None:
     """Install percentile masks at fixed per-layer rates; weights untouched.
@@ -116,43 +119,18 @@ def apply_strategy(net: Network, rates: list[float],
     """
     if len(rates) != len(net.layers):
         raise ValueError(f"{len(rates)} rates for {len(net.layers)} layers")
-    for i, (layer, rate) in enumerate(zip(net.layers, rates)):
-        if scores is not None:
-            s = np.asarray(scores[i])
-        elif layer.scores is not None:
-            s = layer.scores.values
-        else:
-            raise ValueError(f"{layer.spec.name}: no scores available to rank connections")
-        layer.set_mask(top_fraction_mask(s, rate))
-
-
-def _kept(layer) -> int:
-    return int(layer.broadcast_mask().sum())
-
-
-def measure_strategy(net: Network) -> list[float]:
-    """Read the realized per-layer rates off the installed masks."""
-    return [_kept(l) / l.spec.weight_count for l in net.layers]
+    if scores is None:
+        for layer in net.layers:
+            if layer.scores is None:
+                raise ValueError(f"{layer.spec.name}: no scores available to rank connections")
+        scores = [l.scores.values for l in net.layers]
+    _install_masks(net, rates, scores)
 
 
 def write_strategy(path, net: Network) -> None:
     """One row per layer: realized rate, kept weights and FLOPs of the installed masks."""
     rows = []
     for layer, fl in zip(net.layers, flops(net)[1]):
-        kept = _kept(layer)
+        kept = int(layer.broadcast_mask().sum())
         rows.append([layer.spec.name, f"{kept / layer.spec.weight_count:.10f}", kept, fl])
     write_csv(path, ["layer", "rate", "preserved_params", "preserved_flops"], rows)
-
-
-def write_strategy_compare(path, net: Network, strategies: list[tuple[str, list[float]]]) -> None:
-    """Join named strategies into one CSV: a row per layer, a rate and a kept count per strategy."""
-    header = ["layer"]
-    for name, _ in strategies:
-        header += [f"{name}_rate", f"{name}_preserved"]
-    rows = []
-    for i, layer in enumerate(net.layers):
-        row = [layer.spec.name]
-        for _, rates in strategies:
-            row += [f"{rates[i]:.10f}", _keep_count(rates[i], layer.spec.weight_count)]
-        rows.append(row)
-    write_csv(path, header, rows)

@@ -27,7 +27,8 @@ DIGESTS_PATH = Path(__file__).with_name("artifact_digests.json")
 ARTIFACTS = ("metrics.csv", "prune_curve.csv", "strategy.csv", "summary.csv",
              "pretrain.npz", "prune.npz", "final.npz")
 
-# (arch, granularity, budget) under both losses, plus the two ablation methods on mlp-small
+# (arch, granularity, budget) under both losses, plus the two ablation methods and two fixed
+# allocations on mlp-small
 SHAPES = {"mlp-small-weight": ("mlp-small", "weight", "param-count"),
           "conv-small-weight": ("conv-small", "weight", "param-count"),
           "conv-small-channel-param-count": ("conv-small", "channel", "param-count"),
@@ -36,7 +37,7 @@ CELLS = {f"{shape}-{loss}": (*SHAPES[shape], loss, "harp")
          for shape in SHAPES for loss in ("pgd-at", "trades")}
 CELLS.update({f"mlp-small-weight-pgd-at-{method}": ("mlp-small", "weight", "param-count",
                                                     "pgd-at", method)
-              for method in ("rates-only", "scores-only")})
+              for method in ("rates-only", "scores-only", "erk", "lamp")})
 
 
 def cell_config(name: str) -> dict:

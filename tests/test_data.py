@@ -86,7 +86,7 @@ def test_csv_non_numeric_cell_names_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1,2,3,4\n1,x,2,3,4\n")
     with pytest.raises(DataFormatError, match="row 2"):
-        load_csv(path)
+        load_csv(path, classes=2)
 
 
 def test_csv_label_out_of_range(tmp_path):
@@ -113,7 +113,7 @@ def _write_idx_pair(tmp_path, n=6, side=4, magic_images=0x803, magic_labels=0x80
 
 def test_idx_roundtrip(tmp_path):
     img, lab, pixels, labels = _write_idx_pair(tmp_path)
-    images, got = load_idx(img, lab)
+    images, got = load_idx(img, lab, classes=2)
     assert np.array_equal(got, labels)
     assert np.allclose(images[:, 0] * 255, pixels)
 
@@ -121,7 +121,7 @@ def test_idx_roundtrip(tmp_path):
 def test_idx_bad_magic(tmp_path):
     img, lab, _, _ = _write_idx_pair(tmp_path, magic_images=0x807)
     with pytest.raises(DataFormatError, match="magic"):
-        load_idx(img, lab)
+        load_idx(img, lab, classes=2)
 
 
 def test_idx_ingest(tmp_path):

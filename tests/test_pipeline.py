@@ -39,8 +39,9 @@ from robustprune.pipeline import (
     stage_prune,
     sweep,
 )
-from robustprune.pruning import (RATE_TOLERANCE, CompressionConfig, init_rate, init_scores_weight,
-                                 prune_epoch)
+from robustprune.pruning import (RATE_TOLERANCE, CompressionConfig, _keep_count, init_rate,
+                                 init_scores_channel, init_scores_weight, prune_epoch)
+from robustprune.strategies import ALLOCATIONS
 from robustprune.tensor import Tensor
 
 
@@ -171,19 +172,36 @@ def test_prune_curve_tracks_gamma(tiny_run):
 
 @pytest.mark.parametrize("method", list(METHODS))
 def test_prune_learns_what_the_method_table_says(method):
-    """Scores stay at their initial values exactly when the method does not learn scores;
-    quotas stay at the start rate (k_t if rates are fixed) exactly when it does not learn rates."""
-    learns_rates, learns_scores = METHODS[method]
+    """Scores end at their start (the initial scores, or their absolute values for magnitude)
+    exactly when they are not learned. Learned rates move their quotas off k_init; a fixed
+    allocation keeps no quotas and every epoch records its rates."""
+    rate_source, score_source = METHODS[method]
     cfg = tiny_cfg(method=method, epochs=(1, 2, 0), k_t=0.2)
     comp = cfg.compression
     train, _ = ingest(cfg.dataset, cfg.seed)
     net = stage_pretrain(cfg, train)
     initial = [init_scores_weight(l.params.values, l.spec.fan_in) for l in net.layers]
-    start = init_rate(comp.k_init if learns_rates else comp.k_t, comp.k_min)
-    net, _ = stage_prune(cfg, net, train)
+    if score_source == "magnitude":
+        initial = [np.abs(s) for s in initial]
+    fixed = ALLOCATIONS[rate_source](net, comp.k_t) if rate_source != "learned" else None
+    net, history = stage_prune(cfg, net, train)
     for scores, layer in zip(initial, net.layers):
-        assert np.array_equal(layer.scores.values, scores) != learns_scores, layer.spec.name
-        assert (float(layer.quota.values) == start) != learns_rates, layer.spec.name
+        assert np.array_equal(layer.scores.values, scores) == (score_source != "learned"), \
+            layer.spec.name
+        if fixed is None:
+            assert float(layer.quota.values) != init_rate(comp.k_init, comp.k_min), layer.spec.name
+        else:
+            assert layer.quota is None, layer.spec.name
+    if fixed is not None:
+        assert [r["layer_rates"] for r in history.epochs] == [fixed] * cfg.prune_epochs
+
+
+def test_scores_only_at_target_one_keeps_every_weight():
+    cfg = tiny_cfg(method="scores-only", epochs=(1, 1, 0), k_t=1.0)
+    train, _ = ingest(cfg.dataset, cfg.seed)
+    net, history = stage_prune(cfg, stage_pretrain(cfg, train), train)
+    assert all(l.mask.all() for l in net.layers)
+    assert history.epochs[-1]["layer_rates"] == [1.0] * len(net.layers)
 
 
 def test_prune_diverges_on_first_nonfinite_batch_without_update():
@@ -332,10 +350,10 @@ def test_readme_config_block_shows_the_defaults():
 
 
 def test_config_values_cast_to_default_type():
-    cfg = config_from_dict({"seed": "2", "batch_size": 32.0, "compression": {"k_init": 1},
+    cfg = config_from_dict({"seed": "2", "batch_size": 32.0, "compression": {"gamma_step": 1},
                             "dataset": {"noise": 0}})
     assert cfg.seed == 2 and type(cfg.batch_size) is int
-    assert type(cfg.compression.k_init) is float and type(cfg.dataset["noise"]) is float
+    assert type(cfg.compression.gamma_step) is float and type(cfg.dataset["noise"]) is float
     with pytest.raises(ConfigError, match="stages.prune_epochs"):
         config_from_dict({"seed": 1, "stages": {"prune_epochs": "many"}})
     with pytest.raises(ConfigError, match="'stages' must be a section"):
@@ -501,22 +519,33 @@ def test_cli_stagewise_and_eval(tmp_path):
                "--from", str(out / "prune.npz"), *CLI_DATA)
     assert res.returncode == 0, res.stderr
     res = _cli("eval", "--config", str(cfg), "--seed", "4", "--out", str(out),
-               "--from", str(out / "final.npz"), "--histograms", "--baselines", *CLI_DATA)
+               "--from", str(out / "final.npz"), "--histograms", *CLI_DATA)
     assert res.returncode == 0, res.stderr
     for name in ("metrics.csv", "strategy.csv", "summary.csv", "histograms.csv"):
         assert (out / name).exists(), name
-    header = (out / "strategy_compare.csv").read_text().splitlines()[0].split(",")
-    assert header[1::2] == [f"{n}_rate" for n in ("checkpoint", "uniform", "erk", "lamp")]
 
 
-def test_cli_eval_baselines_name_the_checkpoints_columns_by_no_method(tmp_path):
-    out = tmp_path / "scores-only"
-    argv = ["--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed", "4", "--out", str(out),
-            *CLI_DATA, "--set", "method=scores-only"]
-    assert cli.main(["run", *argv]) == 0
-    assert cli.main(["eval", *argv, "--from", str(out / "final.npz"), "--baselines"]) == 0
-    header = (out / "strategy_compare.csv").read_text().splitlines()[0]
-    assert header.startswith("layer,checkpoint_rate,checkpoint_preserved,uniform_rate")
+@pytest.mark.parametrize("granularity", ["weight", "channel"])
+@pytest.mark.parametrize("method", ["uniform", "erk", "lamp"])
+def test_cli_run_prunes_at_a_fixed_allocation_with_magnitude_scores(tmp_path, method,
+                                                                     granularity):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed", "4",
+                     "--out", str(out), *CLI_DATA,
+                     *_sets(f"method={method}", f"compression.granularity={granularity}")]) == 0
+    pretrained = load_checkpoint(out / "pretrain.npz").build()
+    prune = load_checkpoint(out / "prune.npz")
+    assert not [k for k in prune.arrays if k.startswith("quota_")]
+    init_scores = init_scores_weight if granularity == "weight" else init_scores_channel
+    expected = []
+    for layer, pruned, rate in zip(pretrained.layers, prune.build().layers,
+                                   ALLOCATIONS[method](pretrained, 0.2)):
+        start = init_scores(layer.params.values, layer.spec.fan_in)
+        assert np.array_equal(pruned.scores.values, np.abs(start)), layer.spec.name
+        per_entry = layer.spec.weight_count // start.size  # weights one mask entry covers
+        expected.append(_keep_count(rate, start.size) * per_entry)
+    rows = (out / "strategy.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == expected
 
 
 def test_cli_arch_mismatch_is_config_error(tmp_path):
@@ -601,18 +630,21 @@ def test_cli_strategy_reports_run_flops_for_channel_masks(tmp_path):
     assert flops_column(out / "strategy.csv") == flops_column(out / "eval" / "strategy.csv")
 
 
-def test_cli_eval_baselines_beyond_the_budget_exit_2_before_writing(tmp_path, capsys):
-    cfg = _write_tiny_dataset_cfg(tmp_path)
-    net = build_network("mlp-small", (1, 8, 8), 2, seed=4)
-    save_checkpoint(tmp_path / "final.npz", net, "final", seed=4, config_hash="x")
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--set", "method=lamp"]),
+    ("sweep", ["--methods", "harp", "lamp"]),
+], ids=["run", "sweep"])
+def test_cli_allocation_beyond_the_budget_exits_2_before_writing(tmp_path, capsys, command,
+                                                                 flags):
     out = tmp_path / "out"
     # k_t 1e-4 keeps 1 of 6,208 weights: lamp cannot give each of the three layers one
-    assert cli.main(["eval", "--config", str(cfg), "--seed", "4", "--out", str(out),
-                     "--from", str(tmp_path / "final.npz"), "--baselines", *CLI_DATA,
-                     "--set", "compression.k_t=0.0001"]) == 2
+    assert cli.main([command, "--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed", "4",
+                     "--out", str(out), *CLI_DATA, "--set", "compression.k_t=0.0001",
+                     *flags]) == 2
     err = capsys.readouterr().err
+    assert "method lamp at compression.k_t 0.0001" in err
     assert "cannot give every layer one weight" in err and "Traceback" not in err
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 STAGED_ARTIFACTS = ("metrics.csv", "strategy.csv", "summary.csv", "prune_curve.csv",
@@ -775,6 +807,7 @@ OUTSIDE_INPUT_FAULTS = {
     # sample counts whose arrays exceed any address space, so nothing is ever filled
     "n-beyond-c-long": ({"dataset.n": "1e30"}, [], "dataset.n"),
     "n-beyond-memory": ({"dataset.n": str(10**15)}, [], "dataset.n"),
+    "k-init-1": ({"compression.k_init": "1"}, [], "compression.k_init"),
 }
 
 

@@ -13,10 +13,8 @@ from robustprune.strategies import (
     erk_strategy,
     lamp_scores,
     lamp_strategy,
-    measure_strategy,
     uniform_strategy,
     write_strategy,
-    write_strategy_compare,
 )
 from robustprune.tensor import Tensor
 
@@ -33,12 +31,18 @@ CASCADE = (
 )
 
 
+class _StubLayer(SimpleNamespace):
+    """A layer of geometry only; it keeps an installed mask as booleans."""
+
+    def set_mask(self, mask):
+        self.mask = mask.astype(bool)
+
+
 def _cascade_stub():
     layers = []
     for name, ci, co, k in CASCADE:
         kind = "fc" if k == 1 else "conv"
-        spec = LayerSpec(name, kind, ci, co, kernel=k)
-        layers.append(SimpleNamespace(spec=spec))
+        layers.append(_StubLayer(spec=LayerSpec(name, kind, ci, co, kernel=k)))
     total = sum(l.spec.weight_count for l in layers)
     return SimpleNamespace(layers=layers, total_params=total)
 
@@ -47,36 +51,34 @@ def _toy_net(seed=0, arch="mlp-small"):
     return build_network(arch, (1, 8, 8), 2, seed=seed)
 
 
-def _preserved(tmp_path, net, rates):
-    """The kept counts strategy_compare.csv reports for these rates."""
-    path = tmp_path / "compare.csv"
-    write_strategy_compare(path, net, [("s", rates)])
-    with open(path, newline="") as fh:
-        return [int(row["s_preserved"]) for row in csv.DictReader(fh)]
+def _preserved(net, rates):
+    """The kept counts of the masks apply_strategy installs at these rates (all scores tied)."""
+    apply_strategy(net, rates, [np.broadcast_to(0.0, l.spec.weight_shape) for l in net.layers])
+    return [int(l.mask.sum()) for l in net.layers]
 
 
 # --- uniform ---
 
 
-def test_uniform_rate_one_keeps_everything(tmp_path):
+def test_uniform_rate_one_keeps_everything():
     net = _toy_net()
     rates = uniform_strategy(net, 1.0)
     assert rates == [1.0] * len(net.layers)
-    assert sum(_preserved(tmp_path, net, rates)) == net.total_params
+    assert sum(_preserved(net, rates)) == net.total_params
 
 
-def test_uniform_cascade_preserved_counts(tmp_path):
+def test_uniform_cascade_preserved_counts():
     # per-layer counts at 99.9% sparsity on the cascade geometry; the final
     # fc layer keeps exactly 3 of its 2560 weights
     stub = _cascade_stub()
     expected = [2, 37, 74, 147, 295, 590, 590, 1180,
                 2359, 2359, 2359, 2359, 2359, 524, 66, 3]
-    assert _preserved(tmp_path, stub, uniform_strategy(stub, 0.001)) == expected
+    assert _preserved(stub, uniform_strategy(stub, 0.001)) == expected
 
 
-def test_uniform_rounding_stays_near_budget(tmp_path):
+def test_uniform_rounding_stays_near_budget():
     stub = _cascade_stub()
-    total = sum(_preserved(tmp_path, stub, uniform_strategy(stub, 0.001)))
+    total = sum(_preserved(stub, uniform_strategy(stub, 0.001)))
     assert abs(total - 0.001 * stub.total_params) <= 0.001 * 0.001 * stub.total_params
 
 
@@ -238,19 +240,19 @@ def test_lamp_three_layer_oracle():
     assert rates == [c / l.spec.weight_count for c, l in zip(counts, net.layers)]
 
 
-def test_lamp_budget_conservation(tmp_path):
+def test_lamp_budget_conservation():
     net = _toy_net(seed=8)
     for k_t in (0.3, 0.05):
         rates = lamp_strategy(net, k_t)
-        total = sum(_preserved(tmp_path, net, rates))
+        total = sum(_preserved(net, rates))
         assert abs(total - k_t * net.total_params) <= len(net.layers)
         assert all(0 < r <= 1 for r in rates)
 
 
-def test_erk_budget_conservation(tmp_path):
+def test_erk_budget_conservation():
     net = _toy_net(seed=9)
     for k_t in (0.3, 0.05):
-        total = sum(_preserved(tmp_path, net, erk_strategy(net, k_t)))
+        total = sum(_preserved(net, erk_strategy(net, k_t)))
         assert abs(total - k_t * net.total_params) <= len(net.layers)
 
 
@@ -289,16 +291,15 @@ def test_apply_missing_layer_rejected():
 
 
 def test_measured_table_roundtrips():
+    """Rates read off installed masks install the same kept counts under other scores."""
     rng = np.random.default_rng(14)
     net = _toy_net(seed=14)
-    for layer in net.layers:
-        layer.set_mask(top_fraction_mask(rng.normal(size=layer.spec.weight_shape), 0.17))
-    rates = measure_strategy(net)
+    apply_strategy(net, [0.17] * len(net.layers),
+                   [rng.normal(size=l.spec.weight_shape) for l in net.layers])
     kept = [l.mask.sum() for l in net.layers]
-    scores = [rng.normal(size=l.spec.weight_shape) for l in net.layers]
-    apply_strategy(net, rates, scores)
+    rates = [k / l.spec.weight_count for k, l in zip(kept, net.layers)]
+    apply_strategy(net, rates, [rng.normal(size=l.spec.weight_shape) for l in net.layers])
     assert [l.mask.sum() for l in net.layers] == kept
-    assert measure_strategy(net) == rates
 
 
 def test_strategy_csv_format(tmp_path):
