@@ -128,12 +128,20 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
             arrival = epoch
         history.append({"epoch": epoch, "gamma": gamma, **record})
     result = PruneHistory(history, arrival)
-    if arrival is None and result.final_rate > comp.k_t * (1 + RATE_TOLERANCE):
-        warnings.warn(
-            f"target compression {comp.k_t} not reached after {cfg.prune_epochs} epochs; "
-            f"final rate {result.final_rate:.5f}",
-            stacklevel=2,
-        )
+    if result.final_rate > comp.k_t * (1 + RATE_TOLERANCE):
+        # no epoch moves a fixed allocation's rates; only rounding can leave it above k_t
+        if rates is not None:
+            warnings.warn(
+                f"target compression {comp.k_t} not met by the {cfg.method} rates: rounding "
+                f"each layer's kept count gives rate {result.final_rate:.5f}",
+                stacklevel=2,
+            )
+        elif arrival is None:
+            warnings.warn(
+                f"target compression {comp.k_t} not reached after {cfg.prune_epochs} epochs; "
+                f"final rate {result.final_rate:.5f}",
+                stacklevel=2,
+            )
     if outdir is not None:
         outdir = Path(outdir)
         save_checkpoint(outdir / "prune.npz", net, "prune", cfg.seed, cfg.config_hash())

@@ -94,7 +94,7 @@ def no_grad():
 
 # Attack loops only need gradients along the input path. An op recorded while
 # this flag is lowered skips its weight gradient wherever its backward runs;
-# conv2d then keeps no padded input for its backward to rebuild patches from.
+# conv2d then keeps no input for its backward to rebuild patches from.
 _PARAM_GRADS = [True]
 
 
@@ -222,7 +222,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-_COL2IM_ENTRIES = 1 << 17
+_COL2IM_ENTRIES = 1 << 16
 _COL2IM_INDEX: dict[tuple[int, int, int, int], np.ndarray] = {}
 
 
@@ -231,17 +231,28 @@ def _block(c_in: int, k: int, h_out: int, w_out: int) -> int:
     return max(1, _COL2IM_ENTRIES // (c_in * k * k * h_out * w_out))
 
 
-def _columns(xp: np.ndarray, k: int, h_out: int, w_out: int) -> np.ndarray:
-    """Patch matrix (c_in * k*k, n, h_out*w_out) of padded input; rows enumerate (c_in, a, b).
-    dw takes it whole as one 2d operand; each example's slice still suits BLAS (strided rows)."""
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(
-        -1, len(xp), h_out * w_out)
+def _columns(windows: np.ndarray) -> np.ndarray:
+    """Patch matrix (c_in * k*k, n, h_out*w_out) of a (n, c_in, h_out, w_out, k, k) window
+    view; rows enumerate (c_in, a, b). dw takes it whole as one 2d operand; each example's
+    slice still suits BLAS (strided rows)."""
+    n, _, h_out, w_out = windows.shape[:4]
+    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(-1, n, h_out * w_out)
+
+
+def _windows(x: np.ndarray, k: int, padding: int) -> np.ndarray:
+    """(n, c_in, h_out, w_out, k, k) sliding-window view of x, zero-padded by one slice
+    assignment into a fresh buffer; a view of x itself when padding is 0."""
+    if padding:
+        batch, c_in, h, width = x.shape
+        xp = np.zeros((batch, c_in, h + 2 * padding, width + 2 * padding))
+        xp[:, :, padding : padding + h, padding : padding + width] = x
+        x = xp
+    return np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
 
 
 def _col2im_index(c_in: int, hp: int, wp: int, k: int) -> np.ndarray:
     """Padded-input offsets of patch gradients in (n, c_in, a, b, y, x) order, built once
-    per geometry for a _block of examples (1 MiB)."""
+    per geometry for a _block of examples (512 KiB)."""
     if (c_in, hp, wp, k) not in _COL2IM_INDEX:
         h_out, w_out = hp - k + 1, wp - k + 1
         block = _block(c_in, k, h_out, w_out)
@@ -271,34 +282,40 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     if h_out <= 0 or w_out <= 0:
         raise ShapeError(f"conv2d: kernel {k} too large for input {x.shape} with padding {padding}")
 
-    # Unpadded, xp is x's own array: like matmul, the weight gradient relies on
-    # activations not being mutated between forward and backward.
-    xp = x.values
-    if padding:
-        xp = np.zeros((batch, c_in, h + 2 * padding, width + 2 * padding))
-        xp[:, :, padding : padding + h, padding : padding + width] = x.values
     wmat = w.values.transpose(0, 2, 3, 1).reshape(c_in * k * k, c_out)
     need_x = _needs_grad(x)
-    xp_dw = xp if _RECORDING[-1] and _PARAM_GRADS[-1] and _needs_grad(w) else None
-    # no patch matrix outlives the forward: build and multiply it by blocks of examples;
-    # each example gets the same BLAS call as in a whole-batch product
+    # like matmul, the weight gradient relies on activations not being mutated between
+    # forward and backward; it re-pads them there
+    x_dw = x.values if _RECORDING[-1] and _PARAM_GRADS[-1] and _needs_grad(w) else None
     out_vals = np.empty((batch, c_out, h_out * w_out))
-    block = _block(c_in, k, h_out, w_out)
-    for s in range(0, batch, block):
-        np.matmul(wmat.T, _columns(xp[s : s + block], k, h_out, w_out).transpose(1, 0, 2),
-                  out=out_vals[s : s + block])
+    if k == 1:
+        # at 1x1 the patch matrix of an example is its (c_in, h*w) view
+        np.matmul(wmat.T, x.values.reshape(batch, c_in, h * width), out=out_vals)
+    else:
+        # no patch matrix outlives the forward: build and multiply it by blocks of
+        # examples; each example gets the same BLAS call as in a whole-batch product
+        windows = _windows(x.values, k, padding)
+        block = _block(c_in, k, h_out, w_out)
+        for s in range(0, batch, block):
+            np.matmul(wmat.T, _columns(windows[s : s + block]).transpose(1, 0, 2),
+                      out=out_vals[s : s + block])
     out = Tensor(out_vals.reshape(batch, c_out, h_out, w_out))
 
     def rule(g):
         gmat = np.ascontiguousarray(g).reshape(batch, c_out, h_out * w_out)
         dw = dx = None
-        if xp_dw is not None:
+        if x_dw is not None:
             # one dot of the rebuilt patch matrix: the call np.tensordot makes, so the
             # bits match it, without tensordot's transposed copy of the patches
-            dw = np.dot(_columns(xp_dw, k, h_out, w_out).reshape(c_in * k * k, -1),
+            dw = np.dot(_columns(_windows(x_dw, k, padding)).reshape(c_in * k * k, -1),
                         gmat.transpose(0, 2, 1).reshape(-1, c_out))
             dw = dw.reshape(c_in, k, k, c_out).transpose(0, 3, 1, 2)
-        if need_x:
+        if need_x and k == 1:
+            # each input pixel has one patch entry: the col2im is 0.0 + that entry
+            # (so -0.0 becomes 0.0, as in the scatter)
+            dx = (wmat @ gmat).reshape(batch, c_in, h, width)
+            dx += 0.0
+        elif need_x:
             # col2im by blocks of examples: bincount adds the patch gradients in their
             # (n, c_in, a, b, y, x) order, so each padded pixel sums in (a, b) order.
             hp, wp = h + 2 * padding, width + 2 * padding

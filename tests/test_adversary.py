@@ -297,3 +297,26 @@ def test_trades_step_on_resnet_tiny_at_training_batch_stays_under_10_mib():
 
     step()  # builds the per-geometry col2im indices, which persist
     assert traced_peak(step) < 10 * 2**20
+
+
+def test_trades_step_on_resnet_tiny_caches_one_mib_of_index_and_peaks_under_5_mib():
+    # The col2im index of each 3x3 geometry covers 2^16 patch entries (512 KiB), the
+    # 1x1 shortcut conv scatters nothing and caches no index, and each conv keeps its
+    # unpadded input for the weight gradient. With 2^17-entry blocks, a 1x1 index and
+    # the padded input kept, the cache held 2.97 MiB and a step peaked at 5.46 MiB.
+    net = build_network("resnet-tiny", (1, 16, 16), 2, seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0, 1, size=(32, 1, 16, 16)), rng.integers(0, 2, size=32)
+    def step():
+        robust_step(net, x, y, RobustLossConfig("trades"), AttackConfig(8 / 255, 2 / 255, 3),
+                    rng, "test")
+
+    saved = dict(T._COL2IM_INDEX)
+    T._COL2IM_INDEX.clear()
+    try:
+        step()
+        assert sum(index.nbytes for index in T._COL2IM_INDEX.values()) <= 2**20
+        assert not [key for key in T._COL2IM_INDEX if key[3] == 1]
+        assert traced_peak(step) < 5 * 2**20
+    finally:
+        T._COL2IM_INDEX.update(saved)

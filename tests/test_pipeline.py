@@ -530,9 +530,22 @@ def test_cli_stagewise_and_eval(tmp_path):
 def test_cli_run_prunes_at_a_fixed_allocation_with_magnitude_scores(tmp_path, method,
                                                                      granularity):
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed", "4",
-                     "--out", str(out), *CLI_DATA,
-                     *_sets(f"method={method}", f"compression.granularity={granularity}")]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed",
+                         "4", "--out", str(out), *CLI_DATA,
+                         *_sets(f"method={method}", f"compression.granularity={granularity}")]) == 0
+    # no epoch moves a fixed allocation's rates, so none is "not reached after N epochs";
+    # rounding each layer's kept channel count leaves uniform's channel rate above k_t,
+    # and that is said once
+    said = [str(w.message) for w in caught if "target compression" in str(w.message)]
+    if (method, granularity) == ("uniform", "channel"):
+        rate = float((out / "prune_curve.csv").read_text().splitlines()[-1].split(",")[4])
+        assert rate > 0.2 * (1 + RATE_TOLERANCE)
+        assert said == ["target compression 0.2 not met by the uniform rates: rounding each "
+                        f"layer's kept count gives rate {rate:.5f}"]
+    else:
+        assert said == []
     pretrained = load_checkpoint(out / "pretrain.npz").build()
     prune = load_checkpoint(out / "prune.npz")
     assert not [k for k in prune.arrays if k.startswith("quota_")]
