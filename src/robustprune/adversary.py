@@ -102,6 +102,7 @@ def pgd(net: Network, x: np.ndarray, y: np.ndarray, cfg: AttackConfig,
     for _ in range(cfg.iters):
         grad = _attack_grad(net, x_adv, y, clean_logits)
         x_adv = _project(x_adv + cfg.step_size * np.sign(grad), x0, cfg)
+        del grad  # else it stays held through the next attack pass
     return x_adv
 
 
@@ -157,6 +158,8 @@ def _accuracy(net: Network, inputs: np.ndarray, labels: np.ndarray, batch: int =
     with T.no_grad():
         for i in range(0, len(inputs), batch):
             logits = net.forward(Tensor(inputs[i : i + batch])).values
+            if not np.isfinite(logits).all():
+                raise DivergenceError("evaluation: natural logits not finite")
             correct += int((logits.argmax(axis=1) == labels[i : i + batch]).sum())
     return 100.0 * correct / len(inputs)
 
@@ -168,7 +171,8 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray,
 
     Every adversarial example is checked against the epsilon-ball and box
     constraints before it counts; attack randomness comes from a fixed
-    dedicated seed so repeated evaluations agree.
+    dedicated seed so repeated evaluations agree. Raises DivergenceError if
+    the natural logits or an attack's examples are not finite.
     """
     if len(inputs) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -180,6 +184,8 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray,
         for i in range(0, len(inputs), batch):
             xb, yb = inputs[i : i + batch], labels[i : i + batch]
             x_adv = pgd(net, xb, yb, cfg, rng)
+            if not np.isfinite(x_adv).all():
+                raise DivergenceError(f"evaluation: attack {name} produced non-finite examples")
             if not constraints_satisfied(x_adv, xb, cfg):
                 raise AssertionError(f"attack {name} produced out-of-constraint examples")
             with T.no_grad():

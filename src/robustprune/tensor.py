@@ -142,38 +142,24 @@ def backward(loss: Tensor) -> None:
             tensor.grad = grads[key]
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum-reduce a broadcasted gradient back to the original input shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # elementwise / reduction ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = Tensor(a.values + b.values)
-    except ValueError as exc:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
-    sa, sb = a.shape, b.shape
-    _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    if a.shape != b.shape:
+        raise ShapeError(f"add: operand shapes {a.shape} and {b.shape} differ")
+    out = Tensor(a.values + b.values)
+    _record(out, (a, b), lambda g: (g, g))  # safe: no rule writes into its incoming g
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = Tensor(a.values * b.values)
-    except ValueError as exc:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: operand shapes {a.shape} and {b.shape} differ")
+    out = Tensor(a.values * b.values)
     av, bv = a.values, b.values  # each operand's grad reads the other one
-    _record(out, (a, b),
-            lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)))
+    _record(out, (a, b), lambda g: (g * bv, g * av))
     return out
 
 
@@ -342,8 +328,8 @@ def max_pool2d(x: Tensor, window: int = 2) -> Tensor:
     # Running max over a contiguous slot-major copy; np.maximum carries NaN through.
     # The winner is the offset a*w + b of slot (a, b) from its window's top-left
     # pixel in x; offsets rise with the slot, so raising it on each strict > keeps
-    # the first max. The copy is made per block of examples in conv2d's 2^17-entry
-    # budget, so it stays in cache at the eval batch.
+    # the first max. The copy is made per _block of examples, conv2d's budget of
+    # _COL2IM_ENTRIES entries, so it stays in cache at the eval batch.
     ho, wo = h // window, w // window
     block = _block(c, window, ho, wo)
     n = min(block, batch)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import robustprune.tensor as T
+from robustprune import adversary
 from robustprune.adversary import (
     AttackConfig,
+    DivergenceError,
     RobustLossConfig,
     constraints_satisfied,
     evaluate,
@@ -264,6 +266,19 @@ def test_evaluate_empty_dataset_rejected(toy_net):
         evaluate(toy_net, np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=int))
 
 
+def test_evaluate_raises_divergence_on_non_finite_examples(toy_net, monkeypatch):
+    # Non-finite examples mean the network blew up (exit 3); finite examples outside
+    # the ball are a fault of the attack.
+    x, y = synthetic_blobs(20, size=8, classes=2, noise=0.1, seed=5)
+    attacks = [("pgd", AttackConfig(0.05, 0.0125, 2))]
+    monkeypatch.setattr(adversary, "pgd", lambda net, xb, *rest: np.full_like(xb, np.nan))
+    with pytest.raises(DivergenceError, match="attack pgd produced non-finite examples"):
+        evaluate(toy_net, x, y, attacks)
+    monkeypatch.setattr(adversary, "pgd", lambda net, xb, *rest: xb + 0.1)
+    with pytest.raises(AssertionError, match="attack pgd produced out-of-constraint examples"):
+        evaluate(toy_net, x, y, attacks)
+
+
 def test_evaluate_deterministic(toy_net):
     x, y = synthetic_blobs(80, size=8, classes=2, noise=0.1, seed=5)
     attacks = [("pgd", AttackConfig(0.05, 0.0125, 5))]
@@ -282,6 +297,20 @@ def test_pgd_iteration_on_conv_small_at_eval_batch_stays_under_20_mib():
     cfg = AttackConfig(8 / 255, 2 / 255, iters=1, random_init=False)
     pgd(net, x, y, cfg)  # builds the per-geometry col2im indices, which persist
     assert traced_peak(lambda: pgd(net, x, y, cfg)) < 20 * 2**20
+
+
+def test_pgd_frees_each_gradient_before_the_next_attack_pass():
+    # Holding the last gradient through the next pass kept one more input-sized array
+    # (512 KiB here) from the second iteration on: 9.19 MiB at 1 iteration, 9.70 at 3.
+    net = build_network("conv-small", (1, 16, 16), 2, seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0, 1, size=(256, 1, 16, 16)), rng.integers(0, 2, size=256)
+    peaks = {}
+    for iters in (1, 3):
+        cfg = AttackConfig(8 / 255, 2 / 255, iters=iters, random_init=False)
+        pgd(net, x, y, cfg)  # builds the per-geometry col2im indices, which persist
+        peaks[iters] = traced_peak(lambda: pgd(net, x, y, cfg))
+    assert peaks[3] <= peaks[1] + 64 * 2**10, peaks
 
 
 def test_trades_step_on_resnet_tiny_at_training_batch_stays_under_10_mib():

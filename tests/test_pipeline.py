@@ -609,6 +609,26 @@ def test_cli_prune_exits_3_naming_layer_with_non_finite_scores(tmp_path, capsys)
     assert "fc2: scores or quota not finite" in err and "Traceback" not in err
 
 
+def test_cli_run_and_eval_exit_3_when_the_network_blows_up(tmp_path, capsys):
+    # One finetune step at lr 1e300 leaves finite weights (max |theta| ~ 3e299) whose
+    # logits overflow to NaN; evaluate stops on them before any attack scores them.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("arch = mlp-small\ndataset.n = 20\ndataset.size = 8\nbatch_size = 16\n")
+    flags = ["--config", str(cfg), "--seed", "1",
+             *_sets("stages.pretrain_epochs=1", "stages.prune_epochs=1",
+                    "stages.finetune_epochs=1", "attack.iters=2", "compression.k_t=0.5",
+                    "compression.k_init=0.9")]
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # prune stops short of k_t
+        assert cli.main(["run", *flags, "--out", str(tmp_path / "run"),
+                         *_sets("opt.finetune.lr=1e300")]) == 3
+        run_err = capsys.readouterr().err
+        assert cli.main(["eval", *flags, "--out", str(tmp_path / "eval"),
+                         "--from", str(tmp_path / "run" / "final.npz")]) == 3
+    for err in (run_err, capsys.readouterr().err):
+        assert "error: evaluation: natural logits not finite" in err and "Traceback" not in err
+
+
 def test_histogram_counts_match_preserved(tmp_path, tiny_run):
     from robustprune.pipeline import weight_histograms
 

@@ -40,6 +40,18 @@ def test_shape_mismatch_names_op():
         T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 1, 3, 3))))
 
 
+# no broadcasting, so pairs numpy would broadcast are refused too
+@pytest.mark.parametrize("op", [T.add, T.mul], ids=["add", "mul"])
+@pytest.mark.parametrize("a_shape,b_shape", [((2, 2), (2,)), ((2, 1), (2, 3)), ((), (3,)),
+                                             ((2, 3), (3, 2))])
+def test_elementwise_ops_refuse_operands_of_two_shapes(op, a_shape, b_shape):
+    for a, b in ((a_shape, b_shape), (b_shape, a_shape)):
+        with pytest.raises(T.ShapeError) as exc:
+            op(Tensor(np.ones(a)), Tensor(np.ones(b)))
+        assert op.__name__ in str(exc.value)
+        assert str(a) in str(exc.value) and str(b) in str(exc.value)
+
+
 def test_backward_square_sum():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with T.scoped_tape():
@@ -186,6 +198,11 @@ def _run_op(op, x, g, *params):
     return (out.values, xt.grad) + tuple(p.grad for p in pts)
 
 
+def _same_signs(a, b) -> bool:
+    # np.array_equal counts -0.0 equal to 0.0; the sign bits tell them apart
+    return np.array_equal(np.signbit(a), np.signbit(b))
+
+
 @pytest.mark.parametrize("x_shape,w_shape,padding", [
     ((3, 4, 8, 8), (4, 5, 3, 3), 1),     # k=3, padding 1 (every conv-small layer)
     ((3, 4, 8, 8), (4, 5, 3, 3), 0),     # k=3, no padding
@@ -214,14 +231,18 @@ def test_conv2d_bit_exact_against_reference(x_shape, w_shape, padding):
     got = _run_op(conv, x, g, w)
     for name, a, b in zip(("out", "dx", "dw"), got, want):
         assert np.array_equal(a, b), name
+        assert _same_signs(a, b), name
     # attack passes and no_grad forwards keep no patch matrix and multiply it by blocks
     with T.input_grads_only():
         got = _run_op(conv, x, g, w)
     for name, a, b in zip(("input-grads-only out", "input-grads-only dx"), got, want):
         assert np.array_equal(a, b), name
+        assert _same_signs(a, b), name
     assert got[2] is None
     with T.no_grad():
-        assert np.array_equal(conv(Tensor(x), Tensor(w)).values, want[0]), "no-grad out"
+        out = conv(Tensor(x), Tensor(w)).values
+    assert np.array_equal(out, want[0]), "no-grad out"
+    assert _same_signs(out, want[0]), "no-grad out"
 
 
 @pytest.mark.parametrize("c_in,side,k,padding,block", [
@@ -273,10 +294,12 @@ def test_input_grads_only_applies_to_ops_recorded_inside(op, reference, x_shape,
         with T.input_grads_only() if backward_inside else nullcontext():
             backward(loss)
     assert np.array_equal(out.values, want_out) and np.array_equal(xt.grad, want_dx)
+    assert _same_signs(out.values, want_out) and _same_signs(xt.grad, want_dx)
     if record_inside:
         assert wt.grad is None
     else:
         assert np.array_equal(wt.grad, want_dw)
+        assert _same_signs(wt.grad, want_dw)
 
 
 # window 3 has an odd slot count; window 17 has 289 slots, so the winner index is uint16
@@ -319,9 +342,11 @@ def test_max_pool2d_bit_exact_against_reference(window, x_shape, kind):
     for name, (out, dx) in (("recorded", got), ("input-grads-only", inside)):
         assert np.array_equal(out, want[0], equal_nan=True), f"{name} out"
         assert np.array_equal(dx, want[1]), f"{name} dx"
+        assert _same_signs(out, want[0]) and _same_signs(dx, want[1]), name
     with T.no_grad():
         out = pool(Tensor(x)).values
     assert np.array_equal(out, want[0], equal_nan=True), "no-grad out"
+    assert _same_signs(out, want[0]), "no-grad out"
 
 
 def test_max_pool2d_forward_at_the_eval_batch_copies_one_block():
