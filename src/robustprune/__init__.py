@@ -13,8 +13,7 @@ from .pruning import (
     g_derivative,
     hw_loss,
     init_rate,
-    init_scores_channel,
-    init_scores_weight,
+    init_scores,
     prune_epoch,
     top_fraction_mask,
 )

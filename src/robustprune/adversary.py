@@ -32,13 +32,12 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not 0.0 <= self.step_size <= self.epsilon and self.epsilon > 0:
-            raise ValueError(f"step size must be in [0, epsilon], got {self.step_size}")
-        if self.epsilon == 0 and self.step_size != 0:
-            raise ValueError("step size must be 0 when epsilon is 0")
+            raise ValueError(f"attack.epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.step_size <= self.epsilon:
+            raise ValueError(f"attack.step_size must be in [0, attack.epsilon {self.epsilon}], "
+                             f"got {self.step_size}")
         if self.iters < 1:
-            raise ValueError(f"iteration count must be >= 1, got {self.iters}")
+            raise ValueError(f"attack.iters must be >= 1, got {self.iters}")
 
 
 @dataclass
@@ -50,7 +49,7 @@ class RobustLossConfig:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"loss.kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if self.kind == "trades" and self.beta < 0:
-            raise ValueError(f"trades beta must be >= 0, got {self.beta}")
+            raise ValueError(f"loss.beta must be >= 0 under trades, got {self.beta}")
 
 
 def _attack_grad(net: Network, x_now: np.ndarray, y: np.ndarray,

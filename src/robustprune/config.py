@@ -72,11 +72,12 @@ class RunConfig:
             raise ConfigError(f"arch must be one of {tuple(ARCHITECTURES)}, got {self.arch!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
-        for n in ("seed", *STAGE_KEYS):
-            if getattr(self, n) < 0:
-                raise ConfigError(f"{n} must be >= 0")
-        if self.prune_epochs < 1:
-            raise ConfigError("prune_epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for n in STAGE_KEYS:
+            least = 1 if n == "prune_epochs" else 0
+            if getattr(self, n) < least:
+                raise ConfigError(f"stages.{n} must be >= {least}, got {getattr(self, n)}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         kind, size = self.dataset["kind"], self.dataset["size"]
@@ -90,13 +91,18 @@ class RunConfig:
                     self.dataset["classes"])
         except ValueError as exc:
             raise ConfigError(f"dataset.size {size}: {exc}") from None
-        for name in ("opt_pretrain", "opt_finetune", "opt_scores", "opt_rates"):
-            getattr(self, name).validate(name)
+        for name in OPT_NAMES:
+            getattr(self, f"opt_{name}").validate(f"opt.{name}")
         allocate = ALLOCATIONS.get(METHODS[self.method][0])
         if allocate is not None:  # its feasibility reads only the layer specs of a fresh network
             k_t = self.compression.k_t
             try:
-                allocate(build_network(self.arch, (1, size, size), self.dataset["classes"]), k_t)
+                net = build_network(self.arch, (1, size, size), self.dataset["classes"])
+            except (OverflowError, ValueError, MemoryError) as exc:
+                raise ConfigError(f"dataset.size {size}: the {self.arch} weights for "
+                                  f"{size}x{size} images cannot be allocated") from exc
+            try:
+                allocate(net, k_t)
             except ValueError as exc:
                 raise ConfigError(f"method {self.method} at compression.k_t {k_t}: {exc}") from None
 

@@ -55,9 +55,9 @@ def synthetic_blobs(n: int, size: int, classes: int, noise: float,
                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Class-balanced images with one Gaussian blob whose location encodes the class."""
     if classes < 2:
-        raise DataFormatError(f"need at least 2 classes, got {classes}")
+        raise DataFormatError(f"dataset.classes must be >= 2, got {classes}")
     if n < 0 or noise < 0:
-        raise DataFormatError(f"sample count and noise must be >= 0, got n={n}, noise={noise}")
+        raise DataFormatError(f"dataset.n and dataset.noise must be >= 0, got {n} and {noise}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
     try:
         images = np.empty((n, 1, size, size))
@@ -194,7 +194,8 @@ def ingest(descriptor: dict, seed: int = 0) -> tuple[Dataset, Dataset]:
     elif kind == "idx":
         inputs, labels = load_idx(Path(d["images"]), Path(d["labels"]), classes)
     else:
-        raise DataFormatError(f"unknown dataset kind {kind!r}")
+        raise DataFormatError(f"unknown dataset kind {kind!r}: dataset.kind must be one of "
+                              "synthetic, csv, idx")
     if inputs.shape[2:] != (size, size):
         raise DataFormatError(f"{kind} images are {inputs.shape[2]}x{inputs.shape[3]}, "
                               f"not dataset.size x dataset.size = {size}x{size}")

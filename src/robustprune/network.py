@@ -7,6 +7,7 @@ granularity always masks axis 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,7 @@ def _layout(arch: str, steps, input_shape, classes: int):
             name, kind, c_o = step
             c_o = classes if c_o is None else c_o
             if kind == "fc":
-                specs.append(LayerSpec(name, kind, int(np.prod(shape)), c_o))
+                specs.append(LayerSpec(name, kind, math.prod(shape), c_o))
                 shape = (c_o,)
             elif kind == "conv":
                 c, h, w = shape

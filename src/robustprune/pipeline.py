@@ -25,8 +25,7 @@ from .pruning import (
     RATE_TOLERANCE,
     build_masks,
     init_rate,
-    init_scores_channel,
-    init_scores_weight,
+    init_scores,
     prune_epoch,
 )
 from .strategies import ALLOCATIONS, write_strategy
@@ -98,9 +97,8 @@ def init_pruning_state(net: Network, comp: CompressionConfig,
     rate_source, score_source = METHODS[method]
     rates = ALLOCATIONS[rate_source](net, comp.k_t) if rate_source in ALLOCATIONS else None
     r0 = init_rate(comp.k_init, comp.k_min)
-    init_scores = init_scores_weight if comp.granularity == "weight" else init_scores_channel
     for layer in net.layers:
-        scores = init_scores(layer.params.values, layer.spec.fan_in)
+        scores = init_scores(layer.params.values, layer.spec.fan_in, comp.granularity)
         layer.scores = Tensor(np.abs(scores) if score_source == "magnitude" else scores)
         layer.quota = Tensor(np.asarray(r0)) if rates is None else None
     build_masks(net, comp.k_min, rates)

@@ -40,18 +40,19 @@ class CompressionConfig:
 
     def __post_init__(self):
         if not 0.0 < self.k_t <= 1.0:
-            raise ValueError(f"target rate must be in (0, 1], got {self.k_t}")
+            raise ValueError(f"compression.k_t: target rate must be in (0, 1], got {self.k_t}")
         if not self.k_min < self.k_init < 1.0:
             raise ValueError(f"compression.k_init must be in (k_min, 1), got {self.k_init}")
         if self.gamma_step <= 0.0:
-            raise ValueError(f"gamma step must be positive, got {self.gamma_step}")
+            raise ValueError(f"compression.gamma_step must be positive, got {self.gamma_step}")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"compression.granularity must be one of {GRANULARITIES}, "
                              f"got {self.granularity!r}")
         if self.budget not in BUDGETS:
             raise ValueError(f"compression.budget must be one of {BUDGETS}, got {self.budget!r}")
         if self.budget == "flops" and self.granularity != "channel":
-            raise ValueError("the flops budget requires channel granularity")
+            raise ValueError("compression.budget flops requires compression.granularity channel, "
+                             f"got {self.granularity!r}")
 
     @property
     def k_min(self) -> float:
@@ -88,23 +89,14 @@ def init_rate(k_init: float, k_min: float) -> float:
     return math.log((k_init - k_min) / (1.0 - k_init))
 
 
-def init_scores_weight(theta: np.ndarray, fan_in: int) -> np.ndarray:
-    """Scores proportional to pre-trained weights, scaled by sqrt(6 / fan_in)."""
-    peak = np.abs(theta).max()
+def init_scores(theta: np.ndarray, fan_in: int, granularity: str) -> np.ndarray:
+    """Scores proportional to the pre-trained weights (per input channel: their absolute sums),
+    scaled to a peak magnitude of sqrt(6 / fan_in)."""
+    base = theta if granularity == "weight" else np.abs(theta).reshape(len(theta), -1).sum(axis=1)
+    peak = np.abs(base).max()
     if peak == 0.0:
         raise ValueError("cannot initialize scores from an all-zero layer")
-    eta = math.sqrt(6.0 / fan_in)
-    return eta * theta / peak
-
-
-def init_scores_channel(theta: np.ndarray, fan_in: int) -> np.ndarray:
-    """Per-input-channel scores: normalized absolute weight sums over axis 0 slices."""
-    sums = np.abs(theta).reshape(theta.shape[0], -1).sum(axis=1)
-    peak = sums.max()
-    if peak == 0.0:
-        raise ValueError("cannot initialize channel scores from an all-zero layer")
-    eta = math.sqrt(6.0 / fan_in)
-    return eta * sums / peak
+    return math.sqrt(6.0 / fan_in) * base / peak
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ Regenerate the file, after a change that is meant to move an artifact, with
 
     PYTHONPATH=src python tests/digests.py
 
-and list in CHANGES.md which artifacts moved, per config, and why.
+and list in CHANGES.md which artifacts moved, per config, and why. Before it
+overwrites the file, the script prints every cell and artifact whose digest
+differs from the committed one, and every added or dropped cell.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ DIGESTS_PATH = Path(__file__).with_name("artifact_digests.json")
 ARTIFACTS = ("metrics.csv", "prune_curve.csv", "strategy.csv", "summary.csv",
              "pretrain.npz", "prune.npz", "final.npz")
 
-# (arch, granularity, budget) under both losses, plus the two ablation methods and two fixed
-# allocations on mlp-small
+# (arch, granularity, budget) under both losses, plus the two ablation methods and the three
+# fixed allocations on mlp-small
 SHAPES = {"mlp-small-weight": ("mlp-small", "weight", "param-count"),
           "conv-small-weight": ("conv-small", "weight", "param-count"),
           "conv-small-channel-param-count": ("conv-small", "channel", "param-count"),
@@ -37,7 +39,7 @@ CELLS = {f"{shape}-{loss}": (*SHAPES[shape], loss, "harp")
          for shape in SHAPES for loss in ("pgd-at", "trades")}
 CELLS.update({f"mlp-small-weight-pgd-at-{method}": ("mlp-small", "weight", "param-count",
                                                     "pgd-at", method)
-              for method in ("rates-only", "scores-only", "erk", "lamp")})
+              for method in ("rates-only", "scores-only", "uniform", "erk", "lamp")})
 
 
 def cell_config(name: str) -> dict:
@@ -80,12 +82,26 @@ def cell_digests(name: str, outdir: Path) -> dict:
     return {a: hashlib.sha256((outdir / a).read_bytes()).hexdigest() for a in ARTIFACTS}
 
 
+def moves(committed: dict, cells: dict) -> list[str]:
+    """One line per added or dropped cell and per artifact whose digest differs."""
+    lines = [f"{name}: new cell" for name in cells if name not in committed]
+    lines += [f"{name}: dropped cell" for name in committed if name not in cells]
+    lines += [f"{name}: {artifact} moved" for name in cells if name in committed
+              for artifact in ARTIFACTS if cells[name][artifact] != committed[name].get(artifact)]
+    return lines
+
+
 def main() -> int:
+    committed = json.loads(DIGESTS_PATH.read_text()) if DIGESTS_PATH.exists() else {}
     cells = {}
     for name in CELLS:
         with tempfile.TemporaryDirectory() as tmp:
             cells[name] = cell_digests(name, Path(tmp))
         print(f"{name}: done", file=sys.stderr)
+    if committed.get("fingerprint", fingerprint()) != fingerprint():
+        print(f"the committed digests were made on {committed['fingerprint']}: every artifact "
+              "may move")
+    print("\n".join(moves(committed.get("cells", {}), cells)) or "no artifact moved")
     DIGESTS_PATH.write_text(json.dumps({"fingerprint": fingerprint(), "cells": cells},
                                        indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS_PATH}")

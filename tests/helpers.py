@@ -56,6 +56,19 @@ def brute_force_mask(scores: np.ndarray, rate: float) -> np.ndarray:
     return mask.reshape(np.asarray(scores).shape)
 
 
+def channel_scores_loop(theta: np.ndarray, fan_in: int) -> np.ndarray:
+    """Per input channel: the sum of |weight| over its slice, one weight at a time, scaled so
+    the largest channel scores sqrt(6 / fan_in)."""
+    sums = []
+    for channel in np.asarray(theta, dtype=np.float64):
+        total = 0.0
+        for w in channel.ravel():
+            total += abs(float(w))
+        sums.append(total)
+    peak = max(sums)
+    return np.array([math.sqrt(6.0 / fan_in) * t / peak for t in sums])
+
+
 def brute_force_preserved(theta: np.ndarray, mask: np.ndarray) -> int:
     """Count non-zeros of theta * mask after explicit broadcasting, one by one."""
     theta = np.asarray(theta)

@@ -40,7 +40,7 @@ from robustprune.pipeline import (
     sweep,
 )
 from robustprune.pruning import (RATE_TOLERANCE, CompressionConfig, _keep_count, init_rate,
-                                 init_scores_channel, init_scores_weight, prune_epoch)
+                                 init_scores, prune_epoch)
 from robustprune.strategies import ALLOCATIONS
 from robustprune.tensor import Tensor
 
@@ -180,7 +180,7 @@ def test_prune_learns_what_the_method_table_says(method):
     comp = cfg.compression
     train, _ = ingest(cfg.dataset, cfg.seed)
     net = stage_pretrain(cfg, train)
-    initial = [init_scores_weight(l.params.values, l.spec.fan_in) for l in net.layers]
+    initial = [init_scores(l.params.values, l.spec.fan_in, "weight") for l in net.layers]
     if score_source == "magnitude":
         initial = [np.abs(s) for s in initial]
     fixed = ALLOCATIONS[rate_source](net, comp.k_t) if rate_source != "learned" else None
@@ -549,11 +549,10 @@ def test_cli_run_prunes_at_a_fixed_allocation_with_magnitude_scores(tmp_path, me
     pretrained = load_checkpoint(out / "pretrain.npz").build()
     prune = load_checkpoint(out / "prune.npz")
     assert not [k for k in prune.arrays if k.startswith("quota_")]
-    init_scores = init_scores_weight if granularity == "weight" else init_scores_channel
     expected = []
     for layer, pruned, rate in zip(pretrained.layers, prune.build().layers,
                                    ALLOCATIONS[method](pretrained, 0.2)):
-        start = init_scores(layer.params.values, layer.spec.fan_in)
+        start = init_scores(layer.params.values, layer.spec.fan_in, granularity)
         assert np.array_equal(pruned.scores.values, np.abs(start)), layer.spec.name
         per_entry = layer.spec.weight_count // start.size  # weights one mask entry covers
         expected.append(_keep_count(rate, start.size) * per_entry)
@@ -841,6 +840,29 @@ OUTSIDE_INPUT_FAULTS = {
     "n-beyond-c-long": ({"dataset.n": "1e30"}, [], "dataset.n"),
     "n-beyond-memory": ({"dataset.n": str(10**15)}, [], "dataset.n"),
     "k-init-1": ({"compression.k_init": "1"}, [], "compression.k_init"),
+    # a fixed allocation checks its feasibility on a whole network: weights beyond any
+    # address space
+    "size-beyond-memory-uniform": ({"method": "uniform", "dataset.size": "1000000"}, [],
+                                   "dataset.size"),
+    # 2^64 inputs to fc1: a count past int64, which must not wrap around to 0
+    "size-2-32-erk": ({"method": "erk", "dataset.size": str(2**32)}, [], "dataset.size"),
+    # each range error names its key
+    "k-t-7": ({"compression.k_t": "7"}, [], "compression.k_t"),
+    "gamma-step-0": ({"compression.gamma_step": "0"}, [], "compression.gamma_step"),
+    "flops-budget-by-weight": ({"compression.budget": "flops"}, [], "compression.budget"),
+    "prune-epochs-0": ({"stages.prune_epochs": "0"}, [], "stages.prune_epochs"),
+    "pretrain-epochs-negative": ({"stages.pretrain_epochs": "-1"}, [], "stages.pretrain_epochs"),
+    "finetune-epochs-negative": ({"stages.finetune_epochs": "-1"}, [], "stages.finetune_epochs"),
+    "epsilon-negative": ({"attack.epsilon": "-0.1"}, [], "attack.epsilon"),
+    "step-size-above-epsilon": ({"attack.step_size": "1"}, [], "attack.step_size"),
+    "iters-0": ({"attack.iters": "0"}, [], "attack.iters"),
+    "trades-beta-negative": ({"loss.kind": "trades", "loss.beta": "-1"}, [], "loss.beta"),
+    "classes-1": ({"dataset.classes": "1"}, [], "dataset.classes"),
+    "noise-negative": ({"dataset.noise": "-1"}, [], "dataset.noise"),
+    "kind-unknown": ({"dataset.kind": "png"}, [], "dataset.kind"),
+    **{f"opt-{name}-{key}": ({f"opt.{name}.{key}": value}, [], f"opt.{name}.{key}")
+       for name in ("pretrain", "finetune", "scores", "rates")
+       for key, value in (("lr", "-1"), ("momentum", "1"), ("weight_decay", "-1"))},
 }
 
 

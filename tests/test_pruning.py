@@ -20,14 +20,13 @@ from robustprune.pruning import (
     g_derivative,
     hw_loss,
     init_rate,
-    init_scores_channel,
-    init_scores_weight,
+    init_scores,
     prune_epoch,
     top_fraction_mask,
 )
 from robustprune.tensor import Tensor
 
-from helpers import brute_force_mask, rel_err
+from helpers import brute_force_mask, channel_scores_loop, rel_err
 
 
 # --- rate activation ---
@@ -114,7 +113,7 @@ def test_init_rate_roundtrip(k_min, frac):
 
 def test_score_init_eta():
     theta = np.array([3.0, -1.0, 2.0])
-    s = init_scores_weight(theta, fan_in=27)
+    s = init_scores(theta, 27, "weight")
     eta = math.sqrt(6.0 / 27.0)
     assert eta == pytest.approx(0.4714, abs=5e-5)
     assert s[0] == pytest.approx(eta)
@@ -123,7 +122,7 @@ def test_score_init_eta():
 
 def test_score_init_endpoints():
     theta = np.array([0.7, -0.7, 0.1])
-    s = init_scores_weight(theta, fan_in=6)
+    s = init_scores(theta, 6, "weight")
     assert s[0] == pytest.approx(1.0)   # eta = sqrt(6/6) = 1
     assert s[1] == pytest.approx(-1.0)
 
@@ -131,7 +130,7 @@ def test_score_init_endpoints():
 def test_score_init_preserves_order():
     rng = np.random.default_rng(2)
     theta = rng.normal(size=(5, 4, 3, 3))
-    s = init_scores_weight(theta, fan_in=45)
+    s = init_scores(theta, 45, "weight")
     assert np.array_equal(np.argsort(s.ravel()), np.argsort(theta.ravel()))
     # magnitude ranking is preserved too (positive scaling)
     assert np.array_equal(np.argsort(np.abs(s).ravel()), np.argsort(np.abs(theta).ravel()))
@@ -139,15 +138,15 @@ def test_score_init_preserves_order():
 
 def test_score_init_rejects_zero_layer():
     with pytest.raises(ValueError):
-        init_scores_weight(np.zeros((2, 2)), fan_in=4)
+        init_scores(np.zeros((2, 2)), 4, "weight")
     with pytest.raises(ValueError):
-        init_scores_channel(np.zeros((2, 2, 3, 3)), fan_in=18)
+        init_scores(np.zeros((2, 2, 3, 3)), 18, "channel")
 
 
 def test_channel_score_single_mass_channel():
     theta = np.zeros((3, 2, 3, 3))
     theta[1] = 0.5
-    s = init_scores_channel(theta, fan_in=27)
+    s = init_scores(theta, 27, "channel")
     eta = math.sqrt(6.0 / 27.0)
     assert s[1] == pytest.approx(eta)
     assert s[0] == 0.0 and s[2] == 0.0
@@ -155,16 +154,24 @@ def test_channel_score_single_mass_channel():
 
 def test_channel_score_uniform_magnitudes():
     theta = np.full((4, 2, 3, 3), -0.25)
-    s = init_scores_channel(theta, fan_in=36)
+    s = init_scores(theta, 36, "channel")
     assert np.allclose(s, math.sqrt(6.0 / 36.0))
 
 
 def test_channel_score_hand_sums():
     # channel 0: |1|+|2|=3 ; channel 1: |3|+|4|=7 -> scores eta*(3/7, 1)
     theta = np.array([[[[1.0]], [[-2.0]]], [[[3.0]], [[-4.0]]]])  # (2, 2, 1, 1)
-    s = init_scores_channel(theta, fan_in=2)
+    s = init_scores(theta, 2, "channel")
     eta = math.sqrt(3.0)
     assert np.allclose(s, [eta * 3 / 7, eta])
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (3, 12, 3, 3), (16, 16, 1, 1)])
+def test_channel_scores_match_a_per_channel_loop(shape):
+    theta = np.random.default_rng(sum(shape)).normal(size=shape)
+    fan_in = shape[0] * (shape[2] * shape[3] if len(shape) == 4 else 1)
+    assert rel_err(init_scores(theta, fan_in, "channel"),
+                   channel_scores_loop(theta, fan_in)) < 1e-12
 
 
 # --- percentile masks ---
