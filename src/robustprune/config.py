@@ -20,10 +20,10 @@ from .strategies import ALLOCATIONS
 
 # Each method by where its prune stage takes (per-layer rates, connection scores) from.
 # Rates are "learned" or a fixed allocation of strategies.ALLOCATIONS at k_t; scores are
-# "learned", "init" (the initial scores, frozen) or "magnitude" (their absolute values, frozen).
-METHODS = {"harp": ("learned", "learned"), "rates-only": ("learned", "init"),
-           "scores-only": ("uniform", "learned"), "uniform": ("uniform", "magnitude"),
-           "erk": ("erk", "magnitude"), "lamp": ("lamp", "magnitude")}
+# "learned" or "frozen" at their start, the weight magnitudes.
+METHODS = {"harp": ("learned", "learned"), "rates-only": ("learned", "frozen"),
+           "scores-only": ("uniform", "learned"), "uniform": ("uniform", "frozen"),
+           "erk": ("erk", "frozen"), "lamp": ("lamp", "frozen")}
 STAGE_KEYS = ("pretrain_epochs", "prune_epochs", "finetune_epochs")
 OPT_NAMES = ("pretrain", "finetune", "scores", "rates")
 # dataset keys without a default: the data files each file-backed kind needs

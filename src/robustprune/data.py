@@ -63,8 +63,10 @@ def synthetic_blobs(n: int, size: int, classes: int, noise: float,
         images = np.empty((n, 1, size, size))
         labels = np.tile(np.arange(classes), n // classes + 1)[:n]
     except (OverflowError, ValueError, MemoryError) as exc:
-        raise DataFormatError(f"dataset.n = {n}: {n * size * size * 8 / 2**30:.3g} GiB of "
-                              f"{size}x{size} images cannot be allocated") from exc
+        gib = n * size * size * 8 >> 30  # integers only: a float overflows past about 1e308
+        amount = f"{gib}" if gib < 2**40 else f"at least 2^{gib.bit_length() - 1}"
+        raise DataFormatError(f"dataset.n = {n}, dataset.size = {size}: {amount} GiB of images "
+                              "cannot be allocated") from exc
     rng.shuffle(labels)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     # class c sits at cell (c // g, c % g) of a g x g grid: 2-4 classes at 0.25 and 0.75

@@ -7,6 +7,7 @@ identical to one monolithic run.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,12 +95,11 @@ def init_pruning_state(net: Network, comp: CompressionConfig,
     allocation is computed once at k_t, keeps no quotas, and is returned for every later
     mask rebuild.
     """
-    rate_source, score_source = METHODS[method]
+    rate_source = METHODS[method][0]
     rates = ALLOCATIONS[rate_source](net, comp.k_t) if rate_source in ALLOCATIONS else None
     r0 = init_rate(comp.k_init, comp.k_min)
     for layer in net.layers:
-        scores = init_scores(layer.params.values, layer.spec.fan_in, comp.granularity)
-        layer.scores = Tensor(np.abs(scores) if score_source == "magnitude" else scores)
+        layer.scores = Tensor(init_scores(layer.params.values, layer.spec.fan_in, comp.granularity))
         layer.quota = Tensor(np.asarray(r0)) if rates is None else None
     build_masks(net, comp.k_min, rates)
     return rates
@@ -124,6 +124,12 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
                              train.batches(cfg.batch_size, rng), score_opt, rate_opt, rng, rates)
         if arrival is None and record["hw_loss"] == 0.0:
             arrival = epoch
+        if abs(record["robust_loss"] - math.log(net.classes)) <= 1e-6 and record["mask_grads_zero"]:
+            rates_now = ", ".join(f"{l.spec.name} {r:.5f}"
+                                  for l, r in zip(net.layers, record["layer_rates"]))
+            warnings.warn(f"prune epoch {epoch}: the network is dead (robust loss ln "
+                          f"{net.classes}, every mask gradient zero) at rates {rates_now}",
+                          stacklevel=2)
         history.append({"epoch": epoch, "gamma": gamma, **record})
     result = PruneHistory(history, arrival)
     if result.final_rate > comp.k_t * (1 + RATE_TOLERANCE):

@@ -90,10 +90,11 @@ def init_rate(k_init: float, k_min: float) -> float:
 
 
 def init_scores(theta: np.ndarray, fan_in: int, granularity: str) -> np.ndarray:
-    """Scores proportional to the pre-trained weights (per input channel: their absolute sums),
-    scaled to a peak magnitude of sqrt(6 / fan_in)."""
-    base = theta if granularity == "weight" else np.abs(theta).reshape(len(theta), -1).sum(axis=1)
-    peak = np.abs(base).max()
+    """Scores proportional to the pre-trained weight magnitudes (per input channel: their
+    sums), scaled to a peak of sqrt(6 / fan_in)."""
+    base = np.abs(theta)
+    base = base if granularity == "weight" else base.reshape(len(theta), -1).sum(axis=1)
+    peak = base.max()
     if peak == 0.0:
         raise ValueError("cannot initialize scores from an all-zero layer")
     return math.sqrt(6.0 / fan_in) * base / peak
@@ -131,9 +132,9 @@ def top_fraction_mask(scores: np.ndarray, rate: float) -> np.ndarray:
 
 
 def _install_masks(net: Network, rates: list[float], scores: list[np.ndarray]) -> None:
-    """Mask every layer to the top ``rate`` fraction of its ``scores``."""
+    """Mask every layer to the top ``rate`` fraction of its ``scores`` by magnitude."""
     for layer, rate, s in zip(net.layers, rates, scores):
-        layer.set_mask(top_fraction_mask(s, rate))
+        layer.set_mask(top_fraction_mask(np.abs(s), rate))
 
 
 def _layer_rates(net: Network, k_min: float, rates: list[float] | None) -> list[float]:
@@ -215,19 +216,21 @@ def prune_epoch(
 ) -> dict:
     """One epoch of optimizing scores and quotas on the joint objective.
 
-    Layer weights stay frozen; masks are rebuilt from the current (quota,
-    scores) before every batch. Each layer's straight-through gradient is
-    its mask tensor's gradient after the robust step. A ``None`` optimizer
-    leaves its tensors' values fixed, holding the last batch's gradients.
-    Fixed ``rates`` stand in for the quotas, which then get no gradient.
-    Returns the epoch's prune-curve record: the mean robust and budget losses
-    over its batches, and the realized global and per-layer rates after it.
+    Layer weights stay frozen; masks are rebuilt from the current (quota, scores)
+    before every batch. A score's straight-through gradient is its mask entry's
+    gradient after the robust step, times its sign: masks rank |scores|. A
+    ``None`` optimizer leaves its tensors' values fixed, holding the last batch's
+    gradients. Fixed ``rates`` stand in for the quotas, which then get no
+    gradient. Returns the epoch's prune-curve record: the mean robust and budget
+    losses over its batches, the realized global and per-layer rates after it, and
+    whether its last batch left every mask gradient zero.
     """
     rob_losses = []
     hw_losses = []
     tie_channels = cfg.granularity == "channel"
     scores = [l.scores for l in net.layers]
     quotas = [l.quota for l in net.layers]
+    grads_zero = False
     for x, y in batches:
         if tie_channels:
             retie_shortcut_quotas(net)
@@ -236,10 +239,12 @@ def prune_epoch(
 
         rob_losses.append(robust_step(net, x, y, loss_cfg, attack_cfg, rng, "prune"))
         hw_losses.append(hw_value)
+        grads_zero = not any(l.mask_tensor.grad.any() for l in net.layers)
 
         for layer, unit in zip(net.layers, hw_unit):
             ste = layer.mask_tensor.grad
-            layer.scores.grad = layer.reduce_to_mask(ste) + gamma * unit
+            layer.scores.grad = np.sign(layer.scores.values) * (layer.reduce_to_mask(ste)
+                                                                + gamma * unit)
             if rates is None:
                 slope = g_derivative(float(layer.quota.values), cfg.k_min)
                 layer.quota.grad = np.asarray(float(ste.sum()) * slope
@@ -258,4 +263,5 @@ def prune_epoch(
         "hw_loss": float(np.mean(hw_losses)) if hw_losses else final_hw,
         "global_rate": global_rate,
         "layer_rates": _layer_rates(net, cfg.k_min, rates),
+        "mask_grads_zero": grads_zero,
     }

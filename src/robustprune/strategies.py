@@ -114,8 +114,7 @@ def apply_strategy(net: Network, rates: list[float],
                    scores: list[np.ndarray] | None = None) -> None:
     """Install percentile masks at fixed per-layer rates; weights untouched.
 
-    ``scores`` defaults to each layer's current score tensor; pass magnitude
-    scores (|theta|) to reproduce classic lowest-weight-magnitude pruning.
+    ``scores`` defaults to each layer's score tensor; pass the weights for magnitude pruning.
     """
     if len(rates) != len(net.layers):
         raise ValueError(f"{len(rates)} rates for {len(net.layers)} layers")

@@ -40,7 +40,7 @@ from robustprune.pipeline import (
     sweep,
 )
 from robustprune.pruning import (RATE_TOLERANCE, CompressionConfig, _keep_count, init_rate,
-                                 init_scores, prune_epoch)
+                                 init_scores, prune_epoch, top_fraction_mask)
 from robustprune.strategies import ALLOCATIONS
 from robustprune.tensor import Tensor
 
@@ -172,17 +172,15 @@ def test_prune_curve_tracks_gamma(tiny_run):
 
 @pytest.mark.parametrize("method", list(METHODS))
 def test_prune_learns_what_the_method_table_says(method):
-    """Scores end at their start (the initial scores, or their absolute values for magnitude)
-    exactly when they are not learned. Learned rates move their quotas off k_init; a fixed
-    allocation keeps no quotas and every epoch records its rates."""
+    """Scores end at their start, the weight magnitudes, exactly when they are frozen.
+    Learned rates move their quotas off k_init; a fixed allocation keeps no quotas and
+    every epoch records its rates."""
     rate_source, score_source = METHODS[method]
     cfg = tiny_cfg(method=method, epochs=(1, 2, 0), k_t=0.2)
     comp = cfg.compression
     train, _ = ingest(cfg.dataset, cfg.seed)
     net = stage_pretrain(cfg, train)
     initial = [init_scores(l.params.values, l.spec.fan_in, "weight") for l in net.layers]
-    if score_source == "magnitude":
-        initial = [np.abs(s) for s in initial]
     fixed = ALLOCATIONS[rate_source](net, comp.k_t) if rate_source != "learned" else None
     net, history = stage_prune(cfg, net, train)
     for scores, layer in zip(initial, net.layers):
@@ -194,6 +192,38 @@ def test_prune_learns_what_the_method_table_says(method):
             assert layer.quota is None, layer.spec.name
     if fixed is not None:
         assert [r["layer_rates"] for r in history.epochs] == [fixed] * cfg.prune_epochs
+
+
+@pytest.mark.parametrize("arch", ["mlp-small", "conv-small"])
+def test_initial_weight_masks_keep_the_largest_weights(arch):
+    """harp's first weight masks keep the top k_init fraction of each layer's |theta|."""
+    net = build_network(arch, (1, 8, 8), 2, seed=3)
+    init_pruning_state(net, CompressionConfig(k_t=0.05, k_init=0.1), "harp")
+    for layer in net.layers:
+        expect = top_fraction_mask(np.abs(layer.params.values), 0.1)
+        assert np.array_equal(layer.mask, expect), layer.spec.name
+
+
+def test_prune_warns_of_a_dead_network():
+    """An epoch at robust loss ln(classes) whose last batch leaves every mask gradient zero
+    warns, naming the epoch and the layer rates; the same run on a live network does not."""
+    cfg = tiny_cfg(epochs=(0, 2, 0))
+    train, _ = ingest(cfg.dataset, cfg.seed)
+    said = {}
+    for dead in (False, True):
+        net = stage_pretrain(cfg, train)
+        if dead:  # inputs are in [0, 1]: with negative fc1 weights every relu unit is off
+            net.layers[0].params.values = -np.abs(net.layers[0].params.values)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, history = stage_prune(cfg, net, train)
+        said[dead] = [str(w.message) for w in caught if "dead" in str(w.message)]
+    assert said[False] == []
+    assert said[True] == [
+        f"prune epoch {r['epoch']}: the network is dead (robust loss ln 2, every mask gradient "
+        "zero) at rates " + ", ".join(f"fc{i} {rate:.5f}"
+                                      for i, rate in enumerate(r["layer_rates"], 1))
+        for r in history.epochs]
 
 
 def test_scores_only_at_target_one_keeps_every_weight():
@@ -553,7 +583,7 @@ def test_cli_run_prunes_at_a_fixed_allocation_with_magnitude_scores(tmp_path, me
     for layer, pruned, rate in zip(pretrained.layers, prune.build().layers,
                                    ALLOCATIONS[method](pretrained, 0.2)):
         start = init_scores(layer.params.values, layer.spec.fan_in, granularity)
-        assert np.array_equal(pruned.scores.values, np.abs(start)), layer.spec.name
+        assert np.array_equal(pruned.scores.values, start), layer.spec.name
         per_entry = layer.spec.weight_count // start.size  # weights one mask entry covers
         expected.append(_keep_count(rate, start.size) * per_entry)
     rows = (out / "strategy.csv").read_text().splitlines()[1:]
@@ -839,6 +869,9 @@ OUTSIDE_INPUT_FAULTS = {
     # sample counts whose arrays exceed any address space, so nothing is ever filled
     "n-beyond-c-long": ({"dataset.n": "1e30"}, [], "dataset.n"),
     "n-beyond-memory": ({"dataset.n": str(10**15)}, [], "dataset.n"),
+    # a byte count past the largest float: its message must not convert it to one
+    "size-1e160-harp": ({"dataset.n": "40", "dataset.size": "1" + "0" * 160}, [],
+                        "dataset.size"),
     "k-init-1": ({"compression.k_init": "1"}, [], "compression.k_init"),
     # a fixed allocation checks its feasibility on a whole network: weights beyond any
     # address space

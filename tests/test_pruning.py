@@ -117,23 +117,23 @@ def test_score_init_eta():
     eta = math.sqrt(6.0 / 27.0)
     assert eta == pytest.approx(0.4714, abs=5e-5)
     assert s[0] == pytest.approx(eta)
-    assert np.allclose(s, eta * theta / 3.0)
+    assert np.allclose(s, eta * np.abs(theta) / 3.0)
 
 
 def test_score_init_endpoints():
     theta = np.array([0.7, -0.7, 0.1])
     s = init_scores(theta, 6, "weight")
     assert s[0] == pytest.approx(1.0)   # eta = sqrt(6/6) = 1
-    assert s[1] == pytest.approx(-1.0)
+    assert s[1] == pytest.approx(1.0)   # a negative weight scores its magnitude
 
 
 def test_score_init_preserves_order():
     rng = np.random.default_rng(2)
     theta = rng.normal(size=(5, 4, 3, 3))
     s = init_scores(theta, 45, "weight")
-    assert np.array_equal(np.argsort(s.ravel()), np.argsort(theta.ravel()))
-    # magnitude ranking is preserved too (positive scaling)
-    assert np.array_equal(np.argsort(np.abs(s).ravel()), np.argsort(np.abs(theta).ravel()))
+    assert np.array_equal(np.argsort(s.ravel()), np.argsort(np.abs(theta).ravel()))
+    # the scores are the magnitudes, positively scaled
+    assert (s >= 0).all()
 
 
 def test_score_init_rejects_zero_layer():
@@ -237,9 +237,10 @@ def test_build_masks_cardinalities():
     assert net.layers[0].mask.sum() == sizes[0]  # rate 1: all ones
     assert net.layers[1].mask.sum() == round(0.25 * sizes[1])
     assert net.layers[2].mask.sum() == max(1, math.floor(k_min * sizes[2] + 0.5))
-    # retained set is exactly the top-k fraction by score
+    # retained set is exactly the top-k fraction by score magnitude
     for layer in net.layers:
-        expect = brute_force_mask(layer.scores.values, layer.mask.sum() / layer.spec.weight_count)
+        expect = brute_force_mask(np.abs(layer.scores.values),
+                                  layer.mask.sum() / layer.spec.weight_count)
         assert np.array_equal(layer.mask, expect)
 
 

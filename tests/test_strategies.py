@@ -274,6 +274,25 @@ def test_apply_uniform_magnitude_is_lwm():
         assert np.array_equal(layer.mask, lwm)
 
 
+def test_apply_ranks_by_magnitude():
+    """Masks rank |scores|: the weights and their magnitudes install the same masks, and so do
+    signed scores and theirs."""
+    net = _toy_net(seed=14)
+    rates = uniform_strategy(net, 0.2)
+    apply_strategy(net, rates, [l.params.values for l in net.layers])
+    signed = [l.mask.copy() for l in net.layers]
+    apply_strategy(net, rates, [np.abs(l.params.values) for l in net.layers])
+    for before, layer in zip(signed, net.layers):
+        assert np.array_equal(before, layer.mask), layer.spec.name
+    rng = np.random.default_rng(14)
+    for layer in net.layers:
+        layer.scores = Tensor(rng.normal(size=layer.spec.weight_shape))
+    apply_strategy(net, rates)
+    for rate, layer in zip(rates, net.layers):
+        expect = top_fraction_mask(np.abs(layer.scores.values), rate)
+        assert np.array_equal(layer.mask, expect), layer.spec.name
+
+
 def test_apply_does_not_touch_weights():
     net = _toy_net(seed=12)
     before = [l.params.values.copy() for l in net.layers]
