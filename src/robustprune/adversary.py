@@ -152,45 +152,39 @@ class MetricRow:
     iters: int
 
 
-def _accuracy(net: Network, inputs: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
-    correct = 0
-    with T.no_grad():
-        for i in range(0, len(inputs), batch):
-            logits = net.forward(Tensor(inputs[i : i + batch])).values
-            if not np.isfinite(logits).all():
-                raise DivergenceError("evaluation: natural logits not finite")
-            correct += int((logits.argmax(axis=1) == labels[i : i + batch]).sum())
-    return 100.0 * correct / len(inputs)
-
-
 def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray,
              attacks: list[tuple[str, AttackConfig]] | None = None,
              batch: int = 256) -> list[MetricRow]:
-    """Natural plus per-attack accuracy over a full dataset.
+    """Natural plus per-attack accuracy over a full dataset, one batch loop per row.
 
     Every adversarial example is checked against the epsilon-ball and box
     constraints before it counts; attack randomness comes from a fixed
-    dedicated seed so repeated evaluations agree. Raises DivergenceError if
-    the natural logits or an attack's examples are not finite.
+    dedicated seed so repeated evaluations agree. Raises DivergenceError,
+    naming the row, if its examples or logits are not finite.
     """
     if len(inputs) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     labels = np.asarray(labels)
-    rows = [MetricRow("natural", _accuracy(net, inputs, labels, batch), 0.0, 0)]
-    for name, cfg in attacks or []:
+    rows = []
+    for name, cfg in [("natural", None)] + list(attacks or []):
         rng = np.random.default_rng(np.random.SeedSequence(EVAL_ATTACK_SEED))
         correct = 0
         for i in range(0, len(inputs), batch):
             xb, yb = inputs[i : i + batch], labels[i : i + batch]
-            x_adv = pgd(net, xb, yb, cfg, rng)
-            if not np.isfinite(x_adv).all():
-                raise DivergenceError(f"evaluation: attack {name} produced non-finite examples")
-            if not constraints_satisfied(x_adv, xb, cfg):
-                raise AssertionError(f"attack {name} produced out-of-constraint examples")
+            if cfg is not None:
+                x_adv = pgd(net, xb, yb, cfg, rng)
+                if not np.isfinite(x_adv).all():
+                    raise DivergenceError(f"evaluation: attack {name} produced non-finite examples")
+                if not constraints_satisfied(x_adv, xb, cfg):
+                    raise AssertionError(f"attack {name} produced out-of-constraint examples")
+                xb = x_adv
             with T.no_grad():
-                logits = net.forward(Tensor(x_adv)).values
+                logits = net.forward(Tensor(xb)).values
+            if not np.isfinite(logits).all():
+                raise DivergenceError(f"evaluation: {name} logits not finite")
             correct += int((logits.argmax(axis=1) == yb).sum())
-        rows.append(MetricRow(name, 100.0 * correct / len(inputs), cfg.epsilon, cfg.iters))
+        rows.append(MetricRow(name, 100.0 * correct / len(inputs),
+                              cfg.epsilon if cfg else 0.0, cfg.iters if cfg else 0))
     return rows
 
 

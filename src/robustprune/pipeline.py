@@ -46,7 +46,12 @@ def _sgd(opt_cfg, epochs: int) -> SgdState:
 
 def _train_theta(net: Network, cfg: RunConfig, train: Dataset, epochs: int,
                  opt_cfg, rng: np.random.Generator, stage: str) -> None:
-    """Train layer weights under the robust loss with frozen masks."""
+    """Train layer weights under the robust loss with frozen masks.
+
+    Inputs lie in [0, 1] and relu, pool and reshape never grow a magnitude, so
+    |logits| <= prod_l (1 + fan_in_l * max|theta_l * m_l|), the residual add included.
+    Raises DivergenceError naming the stage if that bound reaches 1e300 or is NaN.
+    """
     opt = _sgd(opt_cfg, epochs)
     params = [l.params for l in net.layers]
     for epoch in range(epochs):
@@ -54,6 +59,13 @@ def _train_theta(net: Network, cfg: RunConfig, train: Dataset, epochs: int,
         for x, y in train.batches(cfg.batch_size, rng):
             robust_step(net, x, y, cfg.loss, cfg.attack, rng, f"{stage} epoch {epoch + 1}")
             sgd_step(opt, params)
+    log_bound = 0.0  # NaN when a weight is not finite
+    for layer in net.layers:
+        theta_hat = layer.params.values * layer.broadcast_mask()
+        log_bound += math.log1p(layer.spec.fan_in * float(np.abs(theta_hat).max()))
+    if not log_bound < math.log(1e300):
+        raise DivergenceError(f"{stage}: trained weights not finite or can overflow the logits "
+                              f"(logit bound e^{log_bound:.1f})")
 
 
 def stage_pretrain(cfg: RunConfig, train: Dataset, outdir: Path | None = None) -> Network:
@@ -125,11 +137,9 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
         if arrival is None and record["hw_loss"] == 0.0:
             arrival = epoch
         if abs(record["robust_loss"] - math.log(net.classes)) <= 1e-6 and record["mask_grads_zero"]:
-            rates_now = ", ".join(f"{l.spec.name} {r:.5f}"
-                                  for l, r in zip(net.layers, record["layer_rates"]))
             warnings.warn(f"prune epoch {epoch}: the network is dead (robust loss ln "
-                          f"{net.classes}, every mask gradient zero) at rates {rates_now}",
-                          stacklevel=2)
+                          f"{net.classes}, every mask gradient zero) at rates "
+                          f"{_layer_rates(net, record)}", stacklevel=2)
         history.append({"epoch": epoch, "gamma": gamma, **record})
     result = PruneHistory(history, arrival)
     if result.final_rate > comp.k_t * (1 + RATE_TOLERANCE):
@@ -146,11 +156,19 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
                 f"final rate {result.final_rate:.5f}",
                 stacklevel=2,
             )
+    if rates is None and result.final_rate < comp.k_t / 2:
+        warnings.warn(f"the learned rates ended at global rate {result.final_rate:.5f}, below "
+                      f"half of k_t {comp.k_t}, at rates {_layer_rates(net, history[-1])}",
+                      stacklevel=2)
     if outdir is not None:
         outdir = Path(outdir)
         save_checkpoint(outdir / "prune.npz", net, "prune", cfg.seed, cfg.config_hash())
         result.save_csv(outdir / "prune_curve.csv", [l.spec.name for l in net.layers])
     return net, result
+
+
+def _layer_rates(net: Network, record: dict) -> str:
+    return ", ".join(f"{l.spec.name} {r:.5f}" for l, r in zip(net.layers, record["layer_rates"]))
 
 
 def stage_finetune(cfg: RunConfig, net: Network, train: Dataset,
@@ -188,9 +206,14 @@ def run_all(cfg: RunConfig, outdir: Path) -> list[MetricRow]:
 
 
 def write_reports(outdir: Path, cfg: RunConfig, net: Network, test: Dataset) -> list[MetricRow]:
-    """Evaluate under the default attacks; write metrics.csv, strategy.csv and summary.csv."""
+    """Evaluate under the default attacks, warning when FGSM reads below PGD; write
+    metrics.csv, strategy.csv and summary.csv."""
     outdir = Path(outdir)
     rows = evaluate(net, test.inputs, test.labels, default_eval_attacks(cfg.attack))
+    acc = {r.attack: r.accuracy_pct for r in rows}
+    if acc.get("fgsm", math.inf) < acc["pgd"]:
+        warnings.warn(f"fgsm reads {acc['fgsm']:.2f}% against pgd's {acc['pgd']:.2f}%: the pgd "
+                      "row is not the worst case", stacklevel=2)
     metrics_to_csv(rows, outdir / "metrics.csv")
     write_strategy(outdir / "strategy.csv", net)
     write_summary(outdir / "summary.csv", cfg, net, rows)

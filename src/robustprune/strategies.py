@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import write_csv
-from .network import Network, flops
+from .network import Network, count_preserved, flops
 from .pruning import _install_masks, _round_half_up
 
 
@@ -127,9 +127,8 @@ def apply_strategy(net: Network, rates: list[float],
 
 
 def write_strategy(path, net: Network) -> None:
-    """One row per layer: realized rate, kept weights and FLOPs of the installed masks."""
-    rows = []
-    for layer, fl in zip(net.layers, flops(net)[1]):
-        kept = int(layer.broadcast_mask().sum())
-        rows.append([layer.spec.name, f"{kept / layer.spec.weight_count:.10f}", kept, fl])
+    """One row per layer: realized rate, kept weights (non-zero in theta * mask, as
+    ``count_preserved`` counts them) and FLOPs of the installed masks."""
+    rows = [[l.spec.name, f"{k / l.spec.weight_count:.10f}", k, fl]
+            for l, k, fl in zip(net.layers, count_preserved(net)[1], flops(net)[1])]
     write_csv(path, ["layer", "rate", "preserved_params", "preserved_flops"], rows)

@@ -279,6 +279,28 @@ def test_evaluate_raises_divergence_on_non_finite_examples(toy_net, monkeypatch)
         evaluate(toy_net, x, y, attacks)
 
 
+def test_evaluate_raises_divergence_naming_the_row_whose_logits_are_not_finite(toy_net,
+                                                                              monkeypatch):
+    # Natural logits are finite; the attack examples are inside the ball but the network
+    # returns NaN on them. Every row checks its logits, not just the natural one.
+    x, y = synthetic_blobs(20, size=8, classes=2, noise=0.1, seed=5)
+    attacked, forward = [], toy_net.forward
+
+    def pgd_stub(net, xb, *rest):
+        attacked.append(len(xb))
+        return np.asarray(xb, dtype=np.float64).copy()
+
+    def forward_stub(xt):
+        out = forward(xt)
+        return Tensor(np.full_like(out.values, np.nan)) if attacked else out
+
+    monkeypatch.setattr(adversary, "pgd", pgd_stub)
+    monkeypatch.setattr(toy_net, "forward", forward_stub)
+    with pytest.raises(DivergenceError, match="evaluation: fgsm logits not finite"):
+        evaluate(toy_net, x, y, [("fgsm", AttackConfig(0.05, 0.05, 1, random_init=False))])
+    assert attacked == [20]
+
+
 def test_evaluate_deterministic(toy_net):
     x, y = synthetic_blobs(80, size=8, classes=2, noise=0.1, seed=5)
     attacks = [("pgd", AttackConfig(0.05, 0.0125, 5))]

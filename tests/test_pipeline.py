@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import robustprune.tensor as T
 from robustprune import cli
-from robustprune.adversary import AttackConfig, RobustLossConfig, evaluate
+from robustprune.adversary import AttackConfig, MetricRow, RobustLossConfig, evaluate
 from robustprune.checkpoint import load_checkpoint, save_checkpoint
 from robustprune.config import (
     METHODS,
@@ -38,10 +38,12 @@ from robustprune.pipeline import (
     stage_pretrain,
     stage_prune,
     sweep,
+    write_reports,
+    write_summary,
 )
 from robustprune.pruning import (RATE_TOLERANCE, CompressionConfig, _keep_count, init_rate,
                                  init_scores, prune_epoch, top_fraction_mask)
-from robustprune.strategies import ALLOCATIONS
+from robustprune.strategies import ALLOCATIONS, write_strategy
 from robustprune.tensor import Tensor
 
 
@@ -276,6 +278,28 @@ def test_unreached_target_warns_only_beyond_rate_tolerance(monkeypatch, excess, 
         _, history = stage_prune(cfg, net, train)
     assert history.arrival_epoch is None and history.final_rate == final_rate
     assert any("not reached" in str(w.message) for w in caught) == warns
+
+
+@pytest.mark.parametrize("method, share, warns", [
+    ("harp", 0.4, True), ("harp", 0.6, False), ("rates-only", 0.4, True), ("uniform", 0.4, False),
+])
+def test_learned_rate_far_below_target_warns(monkeypatch, method, share, warns):
+    """A learned-rate method ending below k_t / 2 warns with the layer rates; a fixed
+    allocation, whose rates no epoch moves, does not."""
+    cfg = tiny_cfg(method=method, epochs=(0, 2, 0))
+    final_rate = cfg.compression.k_t * share
+    record = {"robust_loss": 0.5, "hw_loss": 0.0, "global_rate": final_rate,
+              "layer_rates": [0.9, 0.01, 0.5]}
+    monkeypatch.setattr("robustprune.pipeline.prune_epoch", lambda *args: record)
+    train, _ = ingest(cfg.dataset, cfg.seed)
+    net = stage_pretrain(cfg, train)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, history = stage_prune(cfg, net, train)
+    assert history.final_rate == final_rate
+    said = [str(w.message) for w in caught]
+    assert said == ([f"the learned rates ended at global rate {final_rate:.5f}, below half of "
+                     "k_t 0.1, at rates fc1 0.90000, fc2 0.01000, fc3 0.50000"] if warns else [])
 
 
 def test_channel_prune_ties_shortcut_quota():
@@ -638,24 +662,101 @@ def test_cli_prune_exits_3_naming_layer_with_non_finite_scores(tmp_path, capsys)
     assert "fc2: scores or quota not finite" in err and "Traceback" not in err
 
 
-def test_cli_run_and_eval_exit_3_when_the_network_blows_up(tmp_path, capsys):
-    # One finetune step at lr 1e300 leaves finite weights (max |theta| ~ 3e299) whose
-    # logits overflow to NaN; evaluate stops on them before any attack scores them.
+def _blow_up_flags(tmp_path):
+    """Flags of a one-epoch-per-stage mlp-small run; a stage trained at lr 1e300 ends with
+    finite weights near 1e299, whose logits overflow."""
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("arch = mlp-small\ndataset.n = 20\ndataset.size = 8\nbatch_size = 16\n")
-    flags = ["--config", str(cfg), "--seed", "1",
-             *_sets("stages.pretrain_epochs=1", "stages.prune_epochs=1",
-                    "stages.finetune_epochs=1", "attack.iters=2", "compression.k_t=0.5",
-                    "compression.k_init=0.9")]
+    return ["--config", str(cfg), "--seed", "1",
+            *_sets("stages.pretrain_epochs=1", "stages.prune_epochs=1",
+                   "stages.finetune_epochs=1", "attack.iters=2", "compression.k_t=0.5",
+                   "compression.k_init=0.9")]
+
+
+def test_cli_pretrain_exits_3_before_saving_weights_that_overflow_the_logits(tmp_path, capsys):
+    out = tmp_path / "pre"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["pretrain", *_blow_up_flags(tmp_path), "--out", str(out),
+                         *_sets("opt.pretrain.lr=1e300")]) == 3
+    err = capsys.readouterr().err
+    assert "error: pretrain: trained weights not finite or can overflow the logits" in err
+    assert "Traceback" not in err and not (out / "pretrain.npz").exists()
+
+
+def test_finetune_stops_on_a_non_finite_weight_its_mask_removes(tmp_path):
+    # theta * mask is NaN where theta is, so a masked-out NaN still poisons the logits
+    cfg = tiny_cfg(epochs=(0, 1, 0))
+    train, _ = ingest(cfg.dataset, cfg.seed)
+    net = build_network(cfg.arch, (1, 8, 8), 2, seed=cfg.seed)
+    layer = net.layers[2]
+    layer.params.values[0, 0] = np.nan
+    mask = np.ones(layer.spec.weight_shape)
+    mask[0, 0] = 0.0
+    layer.set_mask(mask)
+    with pytest.raises(DivergenceError, match="finetune: trained weights not finite"):
+        stage_finetune(cfg, net, train, tmp_path)
+    assert not (tmp_path / "final.npz").exists()
+
+
+def test_cli_run_and_eval_exit_3_when_the_network_blows_up(tmp_path, capsys):
+    # One finetune step at lr 1e300 leaves finite weights (max |theta| ~ 3e299) whose
+    # logits overflow to NaN: run stops at finetune before saving them, and eval of such
+    # weights stops on the natural logits before any attack scores them.
+    flags = _blow_up_flags(tmp_path)
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # prune stops short of k_t
         assert cli.main(["run", *flags, "--out", str(tmp_path / "run"),
                          *_sets("opt.finetune.lr=1e300")]) == 3
         run_err = capsys.readouterr().err
+        assert not (tmp_path / "run" / "final.npz").exists()
+        net = load_checkpoint(tmp_path / "run" / "prune.npz").build()
+        for layer in net.layers:
+            layer.params.values *= 3e299 / np.abs(layer.params.values).max()
+        save_checkpoint(tmp_path / "blown.npz", net, "final", seed=1, config_hash="x")
         assert cli.main(["eval", *flags, "--out", str(tmp_path / "eval"),
-                         "--from", str(tmp_path / "run" / "final.npz")]) == 3
-    for err in (run_err, capsys.readouterr().err):
-        assert "error: evaluation: natural logits not finite" in err and "Traceback" not in err
+                         "--from", str(tmp_path / "blown.npz")]) == 3
+    eval_err = capsys.readouterr().err
+    assert "error: finetune: trained weights not finite or can overflow the logits" in run_err
+    assert "error: evaluation: natural logits not finite" in eval_err
+    assert "Traceback" not in run_err + eval_err
+
+
+def test_strategy_and_summary_count_kept_weights_as_count_preserved(tmp_path):
+    """An unmasked weight that is exactly zero is not kept, in strategy.csv as in
+    summary.csv's global_rate and count_preserved."""
+    cfg = tiny_cfg()
+    net = build_network(cfg.arch, (1, 8, 8), 2, seed=cfg.seed)
+    init_pruning_state(net, cfg.compression)
+    layer = net.layers[1]
+    layer.params.values[np.unravel_index(np.argmax(layer.mask), layer.mask.shape)] = 0.0
+    write_strategy(tmp_path / "strategy.csv", net)
+    write_summary(tmp_path / "summary.csv", cfg, net, [])
+    total, per_layer = count_preserved(net)
+    assert per_layer[1] == int(layer.mask.sum()) - 1
+    rows = [line.split(",") for line in (tmp_path / "strategy.csv").read_text().splitlines()[1:]]
+    assert [int(r[2]) for r in rows] == per_layer
+    assert [r[1] for r in rows] == [f"{k / l.spec.weight_count:.10f}"
+                                    for k, l in zip(per_layer, net.layers)]
+    summary = dict(line.split(",") for line in (tmp_path / "summary.csv").read_text().splitlines())
+    assert summary["global_rate"] == f"{total / net.total_params:.8f}"
+
+
+@pytest.mark.parametrize("fgsm, warns", [(70.0, True), (80.0, False), (90.0, False)])
+def test_reports_warn_when_fgsm_reads_below_pgd(tmp_path, monkeypatch, fgsm, warns):
+    rows = [MetricRow("natural", 95.0, 0.0, 0), MetricRow("pgd", 80.0, 8 / 255, 3),
+            MetricRow("fgsm", fgsm, 8 / 255, 1)]
+    monkeypatch.setattr("robustprune.pipeline.evaluate", lambda *args: rows)
+    cfg = tiny_cfg()
+    _, test = ingest(cfg.dataset, cfg.seed)
+    net = build_network(cfg.arch, (1, 8, 8), 2, seed=cfg.seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert write_reports(tmp_path, cfg, net, test) == rows
+    said = [str(w.message) for w in caught]
+    assert said == (["fgsm reads 70.00% against pgd's 80.00%: the pgd row is not the worst "
+                     "case"] if warns else [])
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["natural", "pgd", "fgsm"]
 
 
 def test_histogram_counts_match_preserved(tmp_path, tiny_run):
