@@ -7,7 +7,7 @@ Run:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 import robustprune.tensor as T
-from robustprune.optim import CosineSchedule, SgdState, sgd_step
+from robustprune.optim import SgdState, sgd_step
 from robustprune.tensor import Tensor, backward
 
 rng = np.random.default_rng(0)
@@ -29,7 +29,7 @@ print("conv kernel grad norm:", np.linalg.norm(kernel.grad))
 
 # A few steps of momentum SGD with a cosine schedule on a quadratic bowl.
 w = Tensor(np.array([4.0, -3.0]), requires_grad=True)
-opt = SgdState(learning_rate=0.3, momentum=0.5, schedule=CosineSchedule(0.3, 50))
+opt = SgdState(learning_rate=0.3, momentum=0.5, epochs=50)
 for epoch in range(50):
     opt.set_epoch(epoch)
     with T.scoped_tape():

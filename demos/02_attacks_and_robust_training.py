@@ -11,7 +11,7 @@ import robustprune.tensor as T
 from robustprune.adversary import AttackConfig, RobustLossConfig, evaluate, pgd, robust_loss
 from robustprune.data import ingest
 from robustprune.network import build_network
-from robustprune.optim import CosineSchedule, SgdState, sgd_step
+from robustprune.optim import SgdState, sgd_step
 
 train, test = ingest({"kind": "synthetic", "n": 1500, "size": 16, "classes": 2,
                       "noise": 0.2, "test_fraction": 0.25}, seed=1)
@@ -19,7 +19,7 @@ net = build_network("mlp-small", (1, 16, 16), 2, seed=1)
 
 attack = AttackConfig(epsilon=8 / 255, step_size=2 / 255, iters=10)
 loss_cfg = RobustLossConfig(kind="pgd-at")
-opt = SgdState(0.1, momentum=0.9, weight_decay=5e-4, schedule=CosineSchedule(0.1, 15))
+opt = SgdState(0.1, momentum=0.9, weight_decay=5e-4, epochs=15)
 rng = np.random.default_rng(1)
 params = [l.params for l in net.layers]
 

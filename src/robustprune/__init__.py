@@ -4,7 +4,7 @@ from .adversary import AttackConfig, RobustLossConfig, evaluate, pgd, robust_los
 from .config import RunConfig, config_from_dict, parse_config_file
 from .data import Dataset, ingest, synthetic_blobs
 from .network import Network, LayerSpec, build_network, count_preserved, flops
-from .optim import CosineSchedule, SgdState, sgd_step
+from .optim import SgdState, sgd_step
 from .pipeline import run_all, stage_finetune, stage_pretrain, stage_prune
 from .pruning import (
     CompressionConfig,

@@ -21,7 +21,6 @@ from .pipeline import (
     stage_pretrain,
     stage_prune,
     sweep,
-    weight_histograms,
     write_reports,
 )
 
@@ -96,10 +95,7 @@ def _cmd_finetune(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg, net, _, test = _from_checkpoint(args)
-    rows = write_reports(args.out, cfg, net, test)
-    if args.histograms:
-        weight_histograms(net, args.out / "histograms.csv")
-    _print_rows(rows)
+    _print_rows(write_reports(args.out, cfg, net, test))
     return EXIT_OK
 
 
@@ -141,10 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     command("prune", _cmd_prune, "strategy search from a pretrain checkpoint",
             "pretrain checkpoint")
     command("finetune", _cmd_finetune, "fine-tune from a prune checkpoint", "prune checkpoint")
-    p_eval = command("eval", _cmd_eval, "evaluate a checkpoint under attacks and write "
-                     "metrics.csv, strategy.csv and summary.csv", "checkpoint to evaluate")
-    p_eval.add_argument("--histograms", action="store_true",
-                        help="also export per-layer retained-weight histograms")
+    command("eval", _cmd_eval, "evaluate a checkpoint under attacks and write metrics.csv, "
+            "strategy.csv, summary.csv and histograms.csv", "checkpoint to evaluate")
     p_sweep = command("sweep", _cmd_sweep, "run a grid of target rates and methods")
     p_sweep.add_argument("--k-values", type=float, nargs="+",
                          help="target rates k_t (default: the config's compression.k_t)")

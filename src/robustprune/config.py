@@ -93,6 +93,11 @@ class RunConfig:
             raise ConfigError(f"dataset.size {size}: {exc}") from None
         for name in OPT_NAMES:
             getattr(self, f"opt_{name}").validate(f"opt.{name}")
+        comp = self.compression
+        if METHODS[self.method][0] == "learned" and comp.k_init < comp.k_t:
+            # the budget loss is 0 below k_t, so nothing lifts learned rates up to it
+            raise ConfigError(f"method {self.method} learns its rates from compression.k_init "
+                              f"{comp.k_init}, which must be >= compression.k_t {comp.k_t}")
         allocate = ALLOCATIONS.get(METHODS[self.method][0])
         if allocate is not None:  # its feasibility reads only the layer specs of a fresh network
             k_t = self.compression.k_t

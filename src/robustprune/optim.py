@@ -11,37 +11,30 @@ from .tensor import Tensor
 
 
 @dataclass
-class CosineSchedule:
-    """rate(e) = base * 0.5 * (1 + cos(pi * e / total)), e in [0, total]."""
-
-    base: float
-    total_epochs: int
-
-    def rate(self, epoch: int) -> float:
-        if self.total_epochs <= 0:
-            return self.base
-        frac = min(max(epoch, 0), self.total_epochs) / self.total_epochs
-        return self.base * 0.5 * (1.0 + math.cos(math.pi * frac))
-
-
-@dataclass
 class SgdState:
+    """Momentum SGD state; ``set_epoch`` follows a cosine from ``learning_rate`` over
+    ``epochs`` epochs (0 keeps the rate constant)."""
+
     learning_rate: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    schedule: CosineSchedule | None = None
+    epochs: int = 0
     velocity: list[np.ndarray] = field(default_factory=list)
+    base: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0.0:
             raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
+        self.base = self.learning_rate
 
     def set_epoch(self, epoch: int) -> float:
-        """Sync the learning rate to the cosine schedule; returns the rate."""
-        if self.schedule is not None:
-            self.learning_rate = self.schedule.rate(epoch)
+        """Set the learning rate to base * 0.5 * (1 + cos(pi * e / epochs)), e the epoch
+        clipped to [0, epochs]; returns the rate."""
+        if self.epochs > 0:
+            frac = min(max(epoch, 0), self.epochs) / self.epochs
+            self.learning_rate = self.base * 0.5 * (1.0 + math.cos(math.pi * frac))
         return self.learning_rate
 
 

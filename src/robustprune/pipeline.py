@@ -20,7 +20,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import METHODS, ConfigError, RunConfig, config_from_dict
 from .data import Dataset, ingest, write_csv
 from .network import Network, build_network, count_preserved, flops
-from .optim import CosineSchedule, SgdState, sgd_step
+from .optim import SgdState, sgd_step
 from .pruning import (
     CompressionConfig,
     RATE_TOLERANCE,
@@ -29,7 +29,7 @@ from .pruning import (
     init_scores,
     prune_epoch,
 )
-from .strategies import ALLOCATIONS, write_strategy
+from .strategies import ALLOCATIONS
 from .tensor import Tensor
 
 
@@ -40,8 +40,7 @@ def _stage_rng(seed: int, tag: str) -> np.random.Generator:
 
 def _sgd(opt_cfg, epochs: int) -> SgdState:
     """Momentum SGD whose learning rate follows a cosine over the stage's epochs."""
-    return SgdState(opt_cfg.lr, opt_cfg.momentum, opt_cfg.weight_decay,
-                    schedule=CosineSchedule(opt_cfg.lr, epochs))
+    return SgdState(opt_cfg.lr, opt_cfg.momentum, opt_cfg.weight_decay, epochs)
 
 
 def _train_theta(net: Network, cfg: RunConfig, train: Dataset, epochs: int,
@@ -206,8 +205,9 @@ def run_all(cfg: RunConfig, outdir: Path) -> list[MetricRow]:
 
 
 def write_reports(outdir: Path, cfg: RunConfig, net: Network, test: Dataset) -> list[MetricRow]:
-    """Evaluate under the default attacks, warning when FGSM reads below PGD; write
-    metrics.csv, strategy.csv and summary.csv."""
+    """Evaluate under the default attacks, warning when FGSM reads below PGD, and write
+    metrics.csv; then write strategy.csv, summary.csv and histograms.csv from one count of
+    the kept weights (non-zero in theta * mask) and the masked and dense FLOPs."""
     outdir = Path(outdir)
     rows = evaluate(net, test.inputs, test.labels, default_eval_attacks(cfg.attack))
     acc = {r.attack: r.accuracy_pct for r in rows}
@@ -215,16 +215,13 @@ def write_reports(outdir: Path, cfg: RunConfig, net: Network, test: Dataset) -> 
         warnings.warn(f"fgsm reads {acc['fgsm']:.2f}% against pgd's {acc['pgd']:.2f}%: the pgd "
                       "row is not the worst case", stacklevel=2)
     metrics_to_csv(rows, outdir / "metrics.csv")
-    write_strategy(outdir / "strategy.csv", net)
-    write_summary(outdir / "summary.csv", cfg, net, rows)
-    return rows
-
-
-def write_summary(path, cfg: RunConfig, net: Network, rows: list[MetricRow]) -> None:
-    preserved, _ = count_preserved(net)
-    cur_flops, _ = flops(net)
+    preserved, kept = count_preserved(net)
+    cur_flops, layer_flops = flops(net)
     full_flops, _ = flops(net, [np.ones(l.spec.weight_shape) for l in net.layers])
-    write_csv(path, ["key", "value"], [
+    write_csv(outdir / "strategy.csv", ["layer", "rate", "preserved_params", "preserved_flops"],
+              [[l.spec.name, f"{k / l.spec.weight_count:.10f}", k, fl]
+               for l, k, fl in zip(net.layers, kept, layer_flops)])
+    write_csv(outdir / "summary.csv", ["key", "value"], [
         ["config_hash", cfg.config_hash()],
         ["method", cfg.method],
         ["arch", cfg.arch],
@@ -234,20 +231,15 @@ def write_summary(path, cfg: RunConfig, net: Network, rows: list[MetricRow]) -> 
         ["flops_rate", f"{cur_flops / full_flops:.8f}"],
         *([f"accuracy_{r.attack}", f"{r.accuracy_pct:.4f}"] for r in rows),
     ])
-
-
-def weight_histograms(net: Network, path, bins: int = 20) -> None:
-    """Per-layer histograms of retained (non-zero masked) weights."""
-    rows = []
-    for layer in net.layers:
-        masked = layer.params.values * layer.broadcast_mask()
-        kept = masked[masked != 0]
-        if kept.size == 0:
-            continue
-        counts, edges = np.histogram(kept, bins=bins)
-        for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-            rows.append([layer.spec.name, f"{lo:.8f}", f"{hi:.8f}", int(c)])
-    write_csv(path, ["layer", "bin_lo", "bin_hi", "count"], rows)
+    histograms = []  # 20 bins per layer that keeps a weight, over its kept theta * mask values
+    for layer, k in zip(net.layers, kept):
+        if k:
+            masked = layer.params.values * layer.broadcast_mask()
+            counts, edges = np.histogram(masked[masked != 0], bins=20)
+            histograms += [[layer.spec.name, f"{lo:.8f}", f"{hi:.8f}", int(c)]
+                           for c, lo, hi in zip(counts, edges[:-1], edges[1:])]
+    write_csv(outdir / "histograms.csv", ["layer", "bin_lo", "bin_hi", "count"], histograms)
+    return rows
 
 
 def sweep(base_cfg: RunConfig, k_values: list[float], methods: list[str],

@@ -1,4 +1,4 @@
-"""Fixed layer-rate allocation schemes and the strategy CSV writer.
+"""Fixed layer-rate allocation schemes.
 
 A strategy is a list of per-layer rates in ``net.layers`` order. Uniform,
 ERK-style density allocation, and LAMP-style global ranking are the fixed
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import write_csv
-from .network import Network, count_preserved, flops
+from .network import Network
 from .pruning import _install_masks, _round_half_up
 
 
@@ -124,11 +123,3 @@ def apply_strategy(net: Network, rates: list[float],
                 raise ValueError(f"{layer.spec.name}: no scores available to rank connections")
         scores = [l.scores.values for l in net.layers]
     _install_masks(net, rates, scores)
-
-
-def write_strategy(path, net: Network) -> None:
-    """One row per layer: realized rate, kept weights (non-zero in theta * mask, as
-    ``count_preserved`` counts them) and FLOPs of the installed masks."""
-    rows = [[l.spec.name, f"{k / l.spec.weight_count:.10f}", k, fl]
-            for l, k, fl in zip(net.layers, count_preserved(net)[1], flops(net)[1])]
-    write_csv(path, ["layer", "rate", "preserved_params", "preserved_flops"], rows)

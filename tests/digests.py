@@ -27,7 +27,7 @@ import numpy as np
 
 DIGESTS_PATH = Path(__file__).with_name("artifact_digests.json")
 ARTIFACTS = ("metrics.csv", "prune_curve.csv", "strategy.csv", "summary.csv",
-             "pretrain.npz", "prune.npz", "final.npz")
+             "histograms.csv", "pretrain.npz", "prune.npz", "final.npz")
 
 # (arch, granularity, budget) under both losses, plus the two ablation methods and the three
 # fixed allocations on mlp-small

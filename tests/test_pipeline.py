@@ -9,6 +9,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from robustprune.config import (
     parse_config_file,
 )
 from robustprune.data import ingest
-from robustprune.network import build_network, count_preserved
+from robustprune.network import build_network, count_preserved, flops
 from robustprune.optim import SgdState
 from robustprune.pipeline import (
     DivergenceError,
@@ -39,11 +40,10 @@ from robustprune.pipeline import (
     stage_prune,
     sweep,
     write_reports,
-    write_summary,
 )
 from robustprune.pruning import (RATE_TOLERANCE, CompressionConfig, _keep_count, init_rate,
                                  init_scores, prune_epoch, top_fraction_mask)
-from robustprune.strategies import ALLOCATIONS, write_strategy
+from robustprune.strategies import ALLOCATIONS
 from robustprune.tensor import Tensor
 
 
@@ -495,7 +495,7 @@ def test_cli_set_gives_every_key_its_typed_value():
 
 def test_cli_later_set_wins_and_every_set_beats_the_config_file(tmp_path):
     path = tmp_path / "k.cfg"
-    path.write_text("compression.k_t = 0.5\nattack.iters = 4\n")
+    path.write_text("compression.k_t = 0.5\ncompression.k_init = 0.6\nattack.iters = 4\n")
     tree = _cli_config(*_sets("compression.k_t=0.3"), "--config", str(path), "--seed", "1",
                        *_sets("dataset.n=300", "compression.k_t=0.2"))
     assert tree["compression"]["k_t"] == 0.2 and tree["attack"]["iters"] == 4
@@ -526,7 +526,7 @@ def _cli(*args):
 
 CLI_DATA = _sets("arch=mlp-small", "stages.pretrain_epochs=1", "stages.prune_epochs=2",
                  "stages.finetune_epochs=1", "attack.iters=2", "compression.k_t=0.2",
-                 "batch_size=64")
+                 "compression.k_init=0.6", "batch_size=64")
 
 
 def _write_tiny_dataset_cfg(tmp_path):
@@ -573,7 +573,7 @@ def test_cli_stagewise_and_eval(tmp_path):
                "--from", str(out / "prune.npz"), *CLI_DATA)
     assert res.returncode == 0, res.stderr
     res = _cli("eval", "--config", str(cfg), "--seed", "4", "--out", str(out),
-               "--from", str(out / "final.npz"), "--histograms", *CLI_DATA)
+               "--from", str(out / "final.npz"), *CLI_DATA)
     assert res.returncode == 0, res.stderr
     for name in ("metrics.csv", "strategy.csv", "summary.csv", "histograms.csv"):
         assert (out / name).exists(), name
@@ -721,7 +721,16 @@ def test_cli_run_and_eval_exit_3_when_the_network_blows_up(tmp_path, capsys):
     assert "Traceback" not in run_err + eval_err
 
 
-def test_strategy_and_summary_count_kept_weights_as_count_preserved(tmp_path):
+UNATTACKED = [MetricRow("natural", 95.0, 0.0, 0), MetricRow("pgd", 80.0, 8 / 255, 3)]
+
+
+def _reports_unattacked(outdir, monkeypatch, cfg, net):
+    """write_reports with evaluate stubbed to return UNATTACKED: the reports run no attack."""
+    monkeypatch.setattr("robustprune.pipeline.evaluate", lambda *args: UNATTACKED)
+    return write_reports(outdir, cfg, net, SimpleNamespace(inputs=None, labels=None))
+
+
+def test_strategy_and_summary_count_kept_weights_as_count_preserved(tmp_path, monkeypatch):
     """An unmasked weight that is exactly zero is not kept, in strategy.csv as in
     summary.csv's global_rate and count_preserved."""
     cfg = tiny_cfg()
@@ -729,8 +738,7 @@ def test_strategy_and_summary_count_kept_weights_as_count_preserved(tmp_path):
     init_pruning_state(net, cfg.compression)
     layer = net.layers[1]
     layer.params.values[np.unravel_index(np.argmax(layer.mask), layer.mask.shape)] = 0.0
-    write_strategy(tmp_path / "strategy.csv", net)
-    write_summary(tmp_path / "summary.csv", cfg, net, [])
+    _reports_unattacked(tmp_path, monkeypatch, cfg, net)
     total, per_layer = count_preserved(net)
     assert per_layer[1] == int(layer.mask.sum()) - 1
     rows = [line.split(",") for line in (tmp_path / "strategy.csv").read_text().splitlines()[1:]]
@@ -759,20 +767,59 @@ def test_reports_warn_when_fgsm_reads_below_pgd(tmp_path, monkeypatch, fgsm, war
     assert [line.split(",")[0] for line in lines[1:]] == ["natural", "pgd", "fgsm"]
 
 
-def test_histogram_counts_match_preserved(tmp_path, tiny_run):
-    from robustprune.pipeline import weight_histograms
-
-    _, out, _ = tiny_run
-    net = load_checkpoint(out / "final.npz").build()
-    path = tmp_path / "hist.csv"
-    weight_histograms(net, path)
+def _histogram_totals(path) -> dict[str, int]:
     totals = {}
     for line in path.read_text().splitlines()[1:]:
         layer, _, _, count = line.rsplit(",", 3)
         totals[layer] = totals.get(layer, 0) + int(count)
+    return totals
+
+
+def test_histogram_counts_match_preserved(tiny_run):
+    _, out, _ = tiny_run
+    net = load_checkpoint(out / "final.npz").build()
+    totals = _histogram_totals(out / "histograms.csv")
     _, per_layer = count_preserved(net)
     for layer, count in zip(net.layers, per_layer):
         assert totals.get(layer.spec.name, 0) == count
+
+
+def test_run_reports_agree_on_the_kept_weights(tiny_run):
+    """histograms.csv sums to strategy.csv's kept counts, and those to summary.csv's rates."""
+    _, out, _ = tiny_run
+    net = load_checkpoint(out / "final.npz").build()
+    totals = _histogram_totals(out / "histograms.csv")
+    strategy = [line.split(",") for line in (out / "strategy.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in strategy] == [l.spec.name for l in net.layers]
+    assert all(totals.get(r[0], 0) == int(r[2]) for r in strategy)
+    summary = dict(line.split(",") for line in (out / "summary.csv").read_text().splitlines())
+    kept = sum(int(r[2]) for r in strategy)
+    assert 0 < kept == round(float(summary["global_rate"]) * net.total_params)
+    dense, _ = flops(net, [np.ones(l.spec.weight_shape) for l in net.layers])
+    assert sum(float(r[3]) for r in strategy) == pytest.approx(
+        float(summary["flops_rate"]) * dense, rel=1e-7)
+
+
+def test_reports_count_the_kept_weights_once(tmp_path, monkeypatch):
+    calls = {"count_preserved": 0, "flops": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("count_preserved", count_preserved), ("flops", flops)):
+        wrapper = counted(name, fn)
+        for module in [m for n, m in sys.modules.items() if n.startswith("robustprune")]:
+            if getattr(module, name, None) is fn:  # every module that imported it by name
+                monkeypatch.setattr(module, name, wrapper)
+    cfg = tiny_cfg()
+    net = build_network(cfg.arch, (1, 8, 8), 2, seed=cfg.seed)
+    _reports_unattacked(tmp_path, monkeypatch, cfg, net)
+    assert calls == {"count_preserved": 1, "flops": 2}
+    assert all((tmp_path / name).exists()
+               for name in ("metrics.csv", "strategy.csv", "summary.csv", "histograms.csv"))
 
 
 def test_cli_strategy_reports_run_flops_for_channel_masks(tmp_path):
@@ -810,14 +857,28 @@ def test_cli_allocation_beyond_the_budget_exits_2_before_writing(tmp_path, capsy
     assert not out.exists()
 
 
-STAGED_ARTIFACTS = ("metrics.csv", "strategy.csv", "summary.csv", "prune_curve.csv",
-                    "pretrain.npz", "prune.npz", "final.npz")
+def test_cli_learned_rates_starting_below_target_exit_2(tmp_path, capsys):
+    # the default k_init 0.1 is below k_t 0.2: a fixed allocation never reads it
+    flags = ["--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed", "4",
+             *_sets("arch=mlp-small", "stages.pretrain_epochs=1", "stages.prune_epochs=1",
+                    "stages.finetune_epochs=0", "attack.iters=1", "compression.k_t=0.2")]
+    assert cli.main(["run", *flags, "--out", str(tmp_path / "harp")]) == 2
+    err = capsys.readouterr().err
+    assert "method harp learns its rates from compression.k_init 0.1, which must be >= " \
+           "compression.k_t 0.2" in err and "Traceback" not in err
+    assert not (tmp_path / "harp").exists()
+    assert cli.main(["run", *flags, "--out", str(tmp_path / "uniform"),
+                     *_sets("method=uniform")]) == 0
+
+
+STAGED_ARTIFACTS = ("metrics.csv", "strategy.csv", "summary.csv", "histograms.csv",
+                    "prune_curve.csv", "pretrain.npz", "prune.npz", "final.npz")
 
 
 @pytest.mark.parametrize("flags", [
     _sets("arch=mlp-small"),
     _sets("arch=resnet-tiny", "compression.granularity=channel", "compression.budget=flops",
-          "compression.k_t=0.5"),
+          "compression.k_t=0.5", "compression.k_init=0.9"),
 ], ids=["mlp-small-weight", "resnet-tiny-channel-flops"])
 def test_cli_staged_run_writes_what_run_writes(tmp_path, flags):
     argv = ["--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed", "6", *CLI_DATA, *flags]

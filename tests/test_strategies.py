@@ -6,7 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from robustprune.adversary import MetricRow
+from robustprune.config import RunConfig
 from robustprune.network import LayerSpec, PrunableLayer, Network, build_network, flops
+from robustprune.pipeline import write_reports
 from robustprune.pruning import top_fraction_mask
 from robustprune.strategies import (
     apply_strategy,
@@ -14,7 +17,6 @@ from robustprune.strategies import (
     lamp_scores,
     lamp_strategy,
     uniform_strategy,
-    write_strategy,
 )
 from robustprune.tensor import Tensor
 
@@ -321,11 +323,14 @@ def test_measured_table_roundtrips():
     assert [l.mask.sum() for l in net.layers] == kept
 
 
-def test_strategy_csv_format(tmp_path):
+def test_strategy_csv_format(tmp_path, monkeypatch):
     net = _toy_net(seed=15)
     apply_strategy(net, uniform_strategy(net, 0.5), [np.abs(l.params.values) for l in net.layers])
+    unattacked = [MetricRow("natural", 95.0, 0.0, 0), MetricRow("pgd", 80.0, 8 / 255, 3)]
+    monkeypatch.setattr("robustprune.pipeline.evaluate", lambda *args: unattacked)
+    write_reports(tmp_path, RunConfig(seed=15, arch="mlp-small"), net,
+                  SimpleNamespace(inputs=None, labels=None))
     path = tmp_path / "strategy.csv"
-    write_strategy(path, net)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["layer", "rate", "preserved_params", "preserved_flops"]

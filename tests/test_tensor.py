@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import robustprune.tensor as T
-from robustprune.optim import CosineSchedule, SgdState, sgd_step
+from robustprune.optim import SgdState, sgd_step
 from robustprune.tensor import Tensor, backward
 
 from helpers import (conv2d_reference, finite_difference, grad_close, max_pool2d_reference,
@@ -450,9 +450,9 @@ def test_decoupled_weight_decay():
 
 
 def test_cosine_schedule_midpoint_and_monotone():
-    sched = CosineSchedule(base=0.4, total_epochs=10)
-    assert sched.rate(0) == pytest.approx(0.4)
-    assert sched.rate(5) == pytest.approx(0.2)
-    assert sched.rate(10) == pytest.approx(0.0)
-    rates = [sched.rate(e) for e in range(11)]
+    opt = SgdState(learning_rate=0.4, epochs=10)
+    assert opt.set_epoch(0) == pytest.approx(0.4)
+    assert opt.set_epoch(5) == pytest.approx(0.2)
+    assert opt.set_epoch(10) == pytest.approx(0.0)
+    rates = [opt.set_epoch(e) for e in range(11)]
     assert all(a >= b for a, b in zip(rates, rates[1:]))
