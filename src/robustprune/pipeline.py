@@ -118,12 +118,14 @@ def init_pruning_state(net: Network, comp: CompressionConfig,
 
 def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
                 outdir: Path | None = None) -> tuple[Network, PruneHistory]:
-    """Strategy search: optimize scores and quotas, weights frozen."""
+    """Strategy search: optimize scores and quotas, weights frozen (one epoch if neither is
+    learned); one warning if the final global rate is outside [k_t/2, k_t*(1+RATE_TOLERANCE)]."""
     comp = cfg.compression
     rates = init_pruning_state(net, comp, cfg.method)
     rng = _stage_rng(cfg.seed, "prune")
-    epochs = cfg.prune_epochs
-    score_opt = _sgd(cfg.opt_scores, epochs) if METHODS[cfg.method][1] == "learned" else None
+    learns_scores = METHODS[cfg.method][1] == "learned"
+    epochs = cfg.prune_epochs if rates is None or learns_scores else 1
+    score_opt = _sgd(cfg.opt_scores, epochs) if learns_scores else None
     rate_opt = _sgd(cfg.opt_rates, epochs) if rates is None else None
     history = []
     arrival = None  # the first epoch whose mean budget loss is exactly 0
@@ -141,23 +143,11 @@ def stage_prune(cfg: RunConfig, net: Network, train: Dataset,
                           f"{_layer_rates(net, record)}", stacklevel=2)
         history.append({"epoch": epoch, "gamma": gamma, **record})
     result = PruneHistory(history, arrival)
-    if result.final_rate > comp.k_t * (1 + RATE_TOLERANCE):
-        # no epoch moves a fixed allocation's rates; only rounding can leave it above k_t
-        if rates is not None:
-            warnings.warn(
-                f"target compression {comp.k_t} not met by the {cfg.method} rates: rounding "
-                f"each layer's kept count gives rate {result.final_rate:.5f}",
-                stacklevel=2,
-            )
-        elif arrival is None:
-            warnings.warn(
-                f"target compression {comp.k_t} not reached after {cfg.prune_epochs} epochs; "
-                f"final rate {result.final_rate:.5f}",
-                stacklevel=2,
-            )
-    if rates is None and result.final_rate < comp.k_t / 2:
-        warnings.warn(f"the learned rates ended at global rate {result.final_rate:.5f}, below "
-                      f"half of k_t {comp.k_t}, at rates {_layer_rates(net, history[-1])}",
+    low, high = comp.k_t / 2, comp.k_t * (1 + RATE_TOLERANCE)
+    if not low <= result.final_rate <= high:
+        warnings.warn(f"target compression {comp.k_t} missed: {cfg.method} ended at global rate "
+                      f"{result.final_rate:.5f}, outside [{low:g}, {high:g}], arrival epoch "
+                      f"{arrival or 'none'}, at rates {_layer_rates(net, history[-1])}",
                       stacklevel=2)
     if outdir is not None:
         outdir = Path(outdir)

@@ -137,23 +137,20 @@ def _install_masks(net: Network, rates: list[float], scores: list[np.ndarray]) -
         layer.set_mask(top_fraction_mask(np.abs(s), rate))
 
 
-def _layer_rates(net: Network, k_min: float, rates: list[float] | None) -> list[float]:
-    """The fixed ``rates`` if given, else each layer's quota through the rate activation."""
-    if rates is not None:
-        return rates
-    return [g_activation(float(l.quota.values), k_min) for l in net.layers]
-
-
-def build_masks(net: Network, k_min: float, rates: list[float] | None = None) -> None:
+def build_masks(net: Network, k_min: float, rates: list[float] | None = None) -> list[float]:
     """Rebuild every layer's mask from its scores, at the fixed ``rates`` if given and at
-    its quota's rate otherwise (DivergenceError if scores or quota are not finite)."""
+    its quota's rate otherwise (DivergenceError if scores or quota are not finite); returns
+    the rates installed."""
     for layer in net.layers:
         state = [layer.scores] if rates is not None else [layer.scores, layer.quota]
         if any(t is None for t in state):
             raise ValueError(f"{layer.spec.name}: scores/quota not initialized")
         if not all(np.isfinite(t.values).all() for t in state):
             raise DivergenceError(f"{layer.spec.name}: scores or quota not finite")
-    _install_masks(net, _layer_rates(net, k_min, rates), [l.scores.values for l in net.layers])
+    if rates is None:
+        rates = [g_activation(float(l.quota.values), k_min) for l in net.layers]
+    _install_masks(net, rates, [l.scores.values for l in net.layers])
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +190,6 @@ def budget_state(net: Network, cfg: CompressionConfig):
     return loss, unit_grads, current / full
 
 
-def retie_shortcut_quotas(net: Network) -> None:
-    """Shortcut layers take the quota of their block's input layer."""
-    for input_idx, shortcut_idx in net.residual_links:
-        src = net.layers[input_idx].quota
-        dst = net.layers[shortcut_idx].quota
-        if src is not None and dst is not None:
-            dst.values = src.values.copy()
-
-
 def prune_epoch(
     net: Network,
     cfg: CompressionConfig,
@@ -227,13 +215,10 @@ def prune_epoch(
     """
     rob_losses = []
     hw_losses = []
-    tie_channels = cfg.granularity == "channel"
     scores = [l.scores for l in net.layers]
     quotas = [l.quota for l in net.layers]
     grads_zero = False
     for x, y in batches:
-        if tie_channels:
-            retie_shortcut_quotas(net)
         build_masks(net, cfg.k_min, rates)
         hw_value, hw_unit, _ = budget_state(net, cfg)
 
@@ -253,15 +238,16 @@ def prune_epoch(
             sgd_step(score_opt, scores)
         if rate_opt is not None:
             sgd_step(rate_opt, quotas)
+            if cfg.granularity == "channel":  # a shortcut keeps its block input's channel rate
+                for input_idx, shortcut_idx in net.residual_links:
+                    quotas[shortcut_idx].values = quotas[input_idx].values.copy()
 
-    if tie_channels:
-        retie_shortcut_quotas(net)
-    build_masks(net, cfg.k_min, rates)
+    layer_rates = build_masks(net, cfg.k_min, rates)
     final_hw, _, global_rate = budget_state(net, cfg)
     return {
         "robust_loss": float(np.mean(rob_losses)) if rob_losses else 0.0,
         "hw_loss": float(np.mean(hw_losses)) if hw_losses else final_hw,
         "global_rate": global_rate,
-        "layer_rates": _layer_rates(net, cfg.k_min, rates),
+        "layer_rates": layer_rates,
         "mask_grads_zero": grads_zero,
     }

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robustprune.pruning as pruning
 import robustprune.tensor as T
 from robustprune import cli
 from robustprune.adversary import AttackConfig, MetricRow, RobustLossConfig, evaluate
@@ -176,7 +177,7 @@ def test_prune_curve_tracks_gamma(tiny_run):
 def test_prune_learns_what_the_method_table_says(method):
     """Scores end at their start, the weight magnitudes, exactly when they are frozen.
     Learned rates move their quotas off k_init; a fixed allocation keeps no quotas and
-    every epoch records its rates."""
+    every epoch records its rates. A method that learns nothing runs one epoch."""
     rate_source, score_source = METHODS[method]
     cfg = tiny_cfg(method=method, epochs=(1, 2, 0), k_t=0.2)
     comp = cfg.compression
@@ -193,7 +194,8 @@ def test_prune_learns_what_the_method_table_says(method):
         else:
             assert layer.quota is None, layer.spec.name
     if fixed is not None:
-        assert [r["layer_rates"] for r in history.epochs] == [fixed] * cfg.prune_epochs
+        epochs = cfg.prune_epochs if score_source == "learned" else 1
+        assert [r["layer_rates"] for r in history.epochs] == [fixed] * epochs
 
 
 @pytest.mark.parametrize("arch", ["mlp-small", "conv-small"])
@@ -262,6 +264,18 @@ def test_prune_diverges_on_first_nonfinite_batch_without_update():
         assert layer.scores.grad is None and layer.quota.grad is None
 
 
+def _final_rate_warnings(monkeypatch, cfg, record) -> list[str]:
+    """The warnings of a prune stage whose every epoch returns ``record``."""
+    monkeypatch.setattr("robustprune.pipeline.prune_epoch", lambda *args: record)
+    train, _ = ingest(cfg.dataset, cfg.seed)
+    net = stage_pretrain(cfg, train)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, history = stage_prune(cfg, net, train)
+    assert history.final_rate == record["global_rate"]
+    return [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("excess,warns", [(0.5 * RATE_TOLERANCE, False),
                                           (2 * RATE_TOLERANCE, True)])
 def test_unreached_target_warns_only_beyond_rate_tolerance(monkeypatch, excess, warns):
@@ -270,50 +284,60 @@ def test_unreached_target_warns_only_beyond_rate_tolerance(monkeypatch, excess, 
     final_rate = cfg.compression.k_t * (1 + excess)
     record = {"robust_loss": 0.5, "hw_loss": 1e-9, "global_rate": final_rate,
               "layer_rates": [final_rate] * 3}
-    monkeypatch.setattr("robustprune.pipeline.prune_epoch", lambda *args: record)
-    train, _ = ingest(cfg.dataset, cfg.seed)
-    net = stage_pretrain(cfg, train)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _, history = stage_prune(cfg, net, train)
-    assert history.arrival_epoch is None and history.final_rate == final_rate
-    assert any("not reached" in str(w.message) for w in caught) == warns
+    said = _final_rate_warnings(monkeypatch, cfg, record)
+    rates = ", ".join(f"fc{i} {final_rate:.5f}" for i in (1, 2, 3))
+    assert said == ([f"target compression 0.1 missed: harp ended at global rate "
+                     f"{final_rate:.5f}, outside [0.05, 0.1001], arrival epoch none, at rates "
+                     f"{rates}"] if warns else [])
 
 
 @pytest.mark.parametrize("method, share, warns", [
-    ("harp", 0.4, True), ("harp", 0.6, False), ("rates-only", 0.4, True), ("uniform", 0.4, False),
+    ("harp", 0.4, True), ("harp", 0.6, False), ("rates-only", 0.4, True), ("uniform", 0.4, True),
+    ("harp", 1 + 2 * RATE_TOLERANCE, True),
 ])
 def test_learned_rate_far_below_target_warns(monkeypatch, method, share, warns):
-    """A learned-rate method ending below k_t / 2 warns with the layer rates; a fixed
-    allocation, whose rates no epoch moves, does not."""
+    """A run that arrived (budget loss 0 from epoch 1) warns with its arrival epoch and the
+    layer rates when it ends outside [k_t / 2, k_t * (1 + RATE_TOLERANCE)]: below k_t / 2,
+    a fixed allocation included, or above the tolerance."""
     cfg = tiny_cfg(method=method, epochs=(0, 2, 0))
     final_rate = cfg.compression.k_t * share
     record = {"robust_loss": 0.5, "hw_loss": 0.0, "global_rate": final_rate,
               "layer_rates": [0.9, 0.01, 0.5]}
-    monkeypatch.setattr("robustprune.pipeline.prune_epoch", lambda *args: record)
-    train, _ = ingest(cfg.dataset, cfg.seed)
-    net = stage_pretrain(cfg, train)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _, history = stage_prune(cfg, net, train)
-    assert history.final_rate == final_rate
-    said = [str(w.message) for w in caught]
-    assert said == ([f"the learned rates ended at global rate {final_rate:.5f}, below half of "
-                     "k_t 0.1, at rates fc1 0.90000, fc2 0.01000, fc3 0.50000"] if warns else [])
+    said = _final_rate_warnings(monkeypatch, cfg, record)
+    assert said == ([f"target compression 0.1 missed: {method} ended at global rate "
+                     f"{final_rate:.5f}, outside [0.05, 0.1001], arrival epoch 1, at rates "
+                     "fc1 0.90000, fc2 0.01000, fc3 0.50000"] if warns else [])
 
 
-def test_channel_prune_ties_shortcut_quota():
+def test_channel_prune_ties_shortcut_quota(tmp_path, monkeypatch):
+    """Every channel mask rebuild gives block.conv_a and block.shortcut, which read the same
+    block input, one rate; the last prune_curve.csv row holds the rates of the installed
+    masks."""
     cfg = tiny_cfg(arch="resnet-tiny", epochs=(1, 2, 0), k_t=0.5)
     cfg.dataset["size"] = 8
     cfg.compression = CompressionConfig(k_t=0.5, k_init=0.99, gamma_step=0.02,
                                         granularity="channel", budget="flops")
     train, _ = ingest(cfg.dataset, cfg.seed)
     net = stage_pretrain(cfg, train)
-    net, history = stage_prune(cfg, net, train)
+    names = [l.spec.name for l in net.layers]
+    installed = []
+    install = pruning._install_masks
+
+    def recording_install(net, rates, scores):
+        installed.append(dict(zip(names, rates)))
+        install(net, rates, scores)
+
+    monkeypatch.setattr(pruning, "_install_masks", recording_install)
+    net, history = stage_prune(cfg, net, train, tmp_path)
+    assert len(installed) > 2 * cfg.prune_epochs
+    assert {r["block.conv_a"] == r["block.shortcut"] for r in installed} == {True}
+    assert len({r["block.conv_a"] for r in installed}) > 1  # the tied rate did move
     for input_idx, shortcut_idx in net.residual_links:
         assert net.layers[input_idx].quota.values == net.layers[shortcut_idx].quota.values
-    for layer in net.layers:
+    last = (tmp_path / "prune_curve.csv").read_text().splitlines()[-1].split(",")[5:]
+    for layer, rate in zip(net.layers, last):
         assert layer.mask.shape == (layer.spec.c_i,)
+        assert layer.mask.sum() == _keep_count(float(rate), layer.mask.size), layer.spec.name
 
 
 # --- config ---
@@ -589,15 +613,16 @@ def test_cli_run_prunes_at_a_fixed_allocation_with_magnitude_scores(tmp_path, me
         assert cli.main(["run", "--config", str(_write_tiny_dataset_cfg(tmp_path)), "--seed",
                          "4", "--out", str(out), *CLI_DATA,
                          *_sets(f"method={method}", f"compression.granularity={granularity}")]) == 0
-    # no epoch moves a fixed allocation's rates, so none is "not reached after N epochs";
     # rounding each layer's kept channel count leaves uniform's channel rate above k_t,
-    # and that is said once
+    # and that is said once, by the one final-rate warning
     said = [str(w.message) for w in caught if "target compression" in str(w.message)]
     if (method, granularity) == ("uniform", "channel"):
-        rate = float((out / "prune_curve.csv").read_text().splitlines()[-1].split(",")[4])
+        row = (out / "prune_curve.csv").read_text().splitlines()[-1].split(",")
+        rate = float(row[4])
         assert rate > 0.2 * (1 + RATE_TOLERANCE)
-        assert said == ["target compression 0.2 not met by the uniform rates: rounding each "
-                        f"layer's kept count gives rate {rate:.5f}"]
+        rates = ", ".join(f"fc{i} {float(r):.5f}" for i, r in enumerate(row[5:], 1))
+        assert said == [f"target compression 0.2 missed: uniform ended at global rate "
+                        f"{rate:.5f}, outside [0.1, 0.2002], arrival epoch none, at rates {rates}"]
     else:
         assert said == []
     pretrained = load_checkpoint(out / "pretrain.npz").build()
