@@ -4,9 +4,10 @@ Layout: a JSON ``meta`` entry (architecture, input shape, classes, stage
 tag, seed, config hash, layer names) plus per-layer float64 arrays
 ``theta_i``, ``scores_i``, ``quota_i`` and ``mask_i``. Loading rebuilds the
 network from the architecture's layer specs and the file's own arrays,
-restoring every array bit-exactly and checking that each is finite and each
-weight and mask shape against the spec; other arrays in the file are
-ignored. Any file that is not such a checkpoint raises ``CheckpointError``.
+restoring every array bit-exactly and checking that each is finite, each
+weight and mask shape against the spec, and that each mask holds only 0 and
+1; other arrays in the file are ignored. Any file that is not such a
+checkpoint raises ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class Checkpoint:
 
     def build(self) -> Network:
         """Reconstruct the network; every array must be finite, every weight and mask
-        must pass the layer's shape check."""
+        must pass the layer's shape check, and every mask must hold only 0 and 1."""
         arch, shape, classes = (self.meta.get(k) for k in ("arch", "input_shape", "classes"))
         for key, valid in (
                 ("arch", isinstance(arch, str) and arch in ARCHITECTURES),
@@ -53,7 +54,10 @@ class Checkpoint:
             try:
                 layer = PrunableLayer(spec, Tensor(self._array(key), requires_grad=True))
                 key = f"mask_{i}"
-                layer.set_mask(self._array(key))
+                mask = self._array(key)
+                if not ((mask == 0) | (mask == 1)).all():
+                    raise CheckpointError(f"checkpoint array {key} holds values other than 0 and 1")
+                layer.set_mask(mask)
             except ShapeError as exc:
                 raise CheckpointError(f"checkpoint array {key}: {exc}") from exc
             if f"scores_{i}" in self.arrays:

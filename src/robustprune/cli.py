@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CheckpointError, ConfigError, DataFormatError, FileNotFoundError) as exc:
+    except (CheckpointError, ConfigError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

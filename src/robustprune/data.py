@@ -103,101 +103,91 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def load_csv(path, classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``label,pixel,...`` with pixels in [0, 255]; square grayscale images."""
-    rows = []
-    labels = []
+def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``label,pixel,...`` with pixels in [0, 255]; square grayscale images. The labels
+    come back as parsed, in float64; ``ingest`` checks them against ``dataset.classes``."""
+    rows, linenos = [], []
     with open(path, newline="", errors="replace") as fh:  # bytes that are not text fail as cells
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             try:
-                values = [float(v) for v in row]
+                values = np.array([float(v) for v in row])
             except ValueError as exc:
                 raise DataFormatError(f"{path}: non-numeric cell in row {lineno}") from exc
-            if not all(map(math.isfinite, values)):
-                raise DataFormatError(f"{path}: non-finite cell in row {lineno}")
-            label = values[0]
-            if label != int(label) or label < 0:
-                raise DataFormatError(f"{path}: invalid label {label} in row {lineno}")
-            if int(label) >= classes:
-                raise DataFormatError(
-                    f"{path}: label {int(label)} out of range (classes={classes}) in row {lineno}"
-                )
-            pixels = np.array(values[1:])
-            if pixels.size == 0:
-                raise DataFormatError(f"{path}: no pixels in row {lineno}")
-            if pixels.min() < 0 or pixels.max() > 255:
-                raise DataFormatError(f"{path}: pixel outside [0, 255] in row {lineno}")
-            side = int(np.sqrt(pixels.size))
-            if side * side != pixels.size:
-                raise DataFormatError(f"{path}: row {lineno} is not a square image")
-            if rows and rows[0].size != pixels.size:
-                raise DataFormatError(f"{path}: row {lineno} has {pixels.size} pixels, "
-                                      f"the first row {rows[0].size}")
-            rows.append(pixels.reshape(1, side, side) / 255.0)
-            labels.append(int(label))
+            if rows and rows[0].size != values.size:
+                raise DataFormatError(f"{path}: row {lineno} has {values.size - 1} pixels, "
+                                      f"the first row {rows[0].size - 1}")
+            rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise DataFormatError(f"{path}: empty dataset")
-    return np.stack(rows), np.array(labels, dtype=np.int64)
+    table = np.stack(rows)
+    labels, pixels = table[:, 0], table[:, 1:]
+    for bad, fault in ((~np.isfinite(table).all(axis=1), "non-finite cell"),
+                       ((labels != np.floor(labels)) | (labels < 0), "invalid label {label}"),
+                       (((pixels < 0) | (pixels > 255)).any(axis=1), "pixel outside [0, 255]")):
+        if bad.any():  # the first row that holds the fault
+            i = int(bad.argmax())
+            raise DataFormatError(f"{path}: {fault.format(label=labels[i])} in row {linenos[i]}")
+    side = math.isqrt(pixels.shape[1])
+    if side == 0 or side * side != pixels.shape[1]:
+        raise DataFormatError(f"{path}: rows of {pixels.shape[1]} pixels are not square images")
+    return pixels.reshape(-1, 1, side, side) / 255.0, labels
 
 
-def load_idx(images_path, labels_path, classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Big-endian IDX pair: magic 0x803 image file plus magic 0x801 label file."""
-    with open(images_path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise DataFormatError(f"{images_path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-            )
-        pixels = count * rows * cols
-        raw = fh.read()  # a header can claim any size: check it against the bytes there are
-        if len(raw) < pixels:
-            raise DataFormatError(f"{images_path}: header claims {pixels} pixels, "
-                                  f"file has {len(raw)}")
-        images = np.frombuffer(raw, np.uint8, pixels).reshape(count, 1, rows, cols) / 255.0
-    with open(labels_path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise DataFormatError(f"{labels_path}: truncated IDX header")
-        magic, n_labels = struct.unpack(">II", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        raw = fh.read()
-        if len(raw) < n_labels:
-            raise DataFormatError(f"{labels_path}: header claims {n_labels} labels, "
-                                  f"file has {len(raw)}")
-        labels = np.frombuffer(raw, np.uint8, n_labels).astype(np.int64)
+def _read_idx(path, magic: int, dims: int, unit: str) -> tuple[list[int], bytes]:
+    """One big-endian IDX file: its magic, ``dims`` sizes, then one byte per ``unit``.
+
+    Returns the sizes and the bytes they claim, once the header is whole, its magic is
+    ``magic``, and the file holds at least the claimed bytes."""
+    with open(path, "rb") as fh:
+        header, raw = fh.read(4 * (dims + 1)), fh.read()
+    if len(header) < 4 * (dims + 1):
+        raise DataFormatError(f"{path}: truncated IDX header")
+    found, *sizes = struct.unpack(f">{dims + 1}I", header)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    claimed = math.prod(sizes)  # a header can claim any size: check it against the bytes there are
+    if len(raw) < claimed:
+        raise DataFormatError(f"{path}: header claims {claimed} {unit}, file has {len(raw)}")
+    return sizes, raw[:claimed]
+
+
+def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Big-endian IDX pair: magic 0x803 image file plus magic 0x801 label file. The labels
+    come back as stored, in uint8; ``ingest`` checks them against ``dataset.classes``."""
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "pixels")
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "labels")
     if n_labels != count:
         raise DataFormatError(f"IDX pair mismatch: {count} images vs {n_labels} labels")
-    if labels.size and labels.max() >= classes:
-        raise DataFormatError(f"{labels_path}: label {labels.max()} out of range (classes={classes})")
-    return images, labels
+    images = np.frombuffer(pixels, np.uint8).reshape(count, 1, rows, cols) / 255.0
+    return images, np.frombuffer(labels, np.uint8)
 
 
 def ingest(descriptor: dict, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Build (train, test) from a dataset descriptor merged over ``DATASET_DEFAULTS``.
 
     ``kind`` in {synthetic, csv, idx}; synthetic takes n/size/classes/noise, csv takes
-    path, idx takes images/labels paths. Loaded images must be ``size`` x ``size`` and
-    their labels below ``classes``. ``test_fraction`` controls the deterministic split.
+    path, idx takes images/labels paths. The readers only parse: here every kind's labels
+    must lie below ``classes`` and its images be ``size`` x ``size``. ``test_fraction``
+    controls the deterministic split.
     """
     d = {**DATASET_DEFAULTS, **descriptor}
     kind, size, classes, test_fraction = d["kind"], d["size"], d["classes"], d["test_fraction"]
     if kind == "synthetic":
         inputs, labels = synthetic_blobs(d["n"], size, classes, d["noise"], seed)
     elif kind == "csv":
-        inputs, labels = load_csv(Path(d["path"]), classes)
+        inputs, labels = load_csv(Path(d["path"]))
     elif kind == "idx":
-        inputs, labels = load_idx(Path(d["images"]), Path(d["labels"]), classes)
+        inputs, labels = load_idx(Path(d["images"]), Path(d["labels"]))
     else:
         raise DataFormatError(f"unknown dataset kind {kind!r}: dataset.kind must be one of "
                               "synthetic, csv, idx")
+    if labels.size and labels.max() >= classes:  # before the cast: a CSV label may be 1e20
+        raise DataFormatError(f"{kind} label {int(labels.max())} out of range: "
+                              f"dataset.classes = {classes}")
+    labels = labels.astype(np.int64)
     if inputs.shape[2:] != (size, size):
         raise DataFormatError(f"{kind} images are {inputs.shape[2]}x{inputs.shape[3]}, "
                               f"not dataset.size x dataset.size = {size}x{size}")

@@ -104,13 +104,17 @@ def init_pruning_state(net: Network, comp: CompressionConfig,
 
     Learned rates start every quota at k_init, so shortcut quotas start tied. A fixed
     allocation is computed once at k_t, keeps no quotas, and is returned for every later
-    mask rebuild.
+    mask rebuild. A layer whose weights are all zero raises ConfigError naming it.
     """
     rate_source = METHODS[method][0]
     rates = ALLOCATIONS[rate_source](net, comp.k_t) if rate_source in ALLOCATIONS else None
     r0 = init_rate(comp.k_init, comp.k_min)
     for layer in net.layers:
-        layer.scores = Tensor(init_scores(layer.params.values, layer.spec.fan_in, comp.granularity))
+        try:
+            scores = init_scores(layer.params.values, layer.spec.fan_in, comp.granularity)
+        except ValueError as exc:  # an all-zero layer, which a checkpoint may hold
+            raise ConfigError(f"layer {layer.spec.name}: {exc}") from None
+        layer.scores = Tensor(scores)
         layer.quota = Tensor(np.asarray(r0)) if rates is None else None
     build_masks(net, comp.k_min, rates)
     return rates

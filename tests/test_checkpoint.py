@@ -76,9 +76,9 @@ def test_checkpoint_with_legacy_velocity_arrays_loads(tmp_path):
         assert np.array_equal(a.mask, b.mask)
 
 
-def _doctored(tmp_path, change):
-    """A valid mlp-small prune checkpoint with one array changed, dropped or added."""
-    net = build_network("mlp-small", (1, 8, 8), 2, seed=25)
+def _doctored(tmp_path, change, arch="mlp-small"):
+    """A valid prune checkpoint of 8x8 inputs with one array changed, dropped or added."""
+    net = build_network(arch, (1, 8, 8), 2, seed=25)
     init_pruning_state(net, CompressionConfig(k_t=0.5))
     path = tmp_path / "good.npz"
     save_checkpoint(path, net, "prune", seed=25, config_hash="w")
@@ -109,8 +109,9 @@ def _poisoned(key, value):
     (_poisoned("mask_0", np.inf), "mask_0 is not finite"),
     (_poisoned("scores_2", -np.inf), "scores_2 is not finite"),
     (_poisoned("quota_1", np.nan), "quota_1 is not finite"),
+    (_poisoned("mask_0", 0.5), "mask_0 holds values other than 0 and 1"),
 ], ids=["mask-shape", "weight-shape", "missing-array", "missing-meta", "format-version",
-        "nan-weight", "inf-mask", "inf-scores", "nan-quota"])
+        "nan-weight", "inf-mask", "inf-scores", "nan-quota", "half-mask"])
 def test_cli_rejects_malformed_checkpoint(tmp_path, capsys, change, named):
     path = _doctored(tmp_path, change)
     assert cli.main(["eval", "--seed", "1", "--from", str(path), "--out", str(tmp_path)]) == 2
@@ -161,8 +162,11 @@ def _written(path: Path, data: bytes) -> Path:
     (lambda tmp: _written(tmp / "notes.npz", b"not an npz file\n"), "notes.npz"),
     (lambda tmp: _doctored(tmp, lambda a: a.update(meta="{arch: mlp-small")), "meta"),
     (lambda tmp: _doctored(tmp, lambda a: a.update(theta_0=np.array(["x"]))), "theta_0 holds"),
+    (lambda tmp: _doctored(tmp, lambda a: a.update(meta="[1, 2]")), "meta is not a JSON object"),
+    (lambda tmp: _doctored(tmp, _edited_meta("input_shape", [1, 6, 6]), "conv-small"),
+     "meta input_shape [1, 6, 6]"),
 ], ids=["unknown-arch", "no-arch", "string-classes", "truncated", "not-npz", "meta-not-json",
-        "string-array"])
+        "string-array", "meta-a-list", "conv-input-6x6"])
 def test_cli_rejects_unreadable_checkpoint_without_traceback(tmp_path, capsys, make, named):
     path = make(tmp_path)
     assert cli.main([*EVAL_ARGV, "--config", str(_eval_config(tmp_path)), "--from", str(path),

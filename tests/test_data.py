@@ -77,23 +77,39 @@ def test_csv_roundtrip(tmp_path):
         pixels = rng.integers(0, 256, size=16)
         rows.append(",".join([str(label)] + [str(p) for p in pixels]))
     path.write_text("\n".join(rows) + "\n")
-    images, labels = load_csv(path, classes=2)
+    images, labels = load_csv(path)
     assert images.shape == (10, 1, 4, 4)
     assert images.max() <= 1.0
+
+
+def test_csv_blank_lines_between_rows_are_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("0,0,64,128,255\n\n1,255,128,64,0\n\n")
+    images, labels = load_csv(path)
+    assert labels.tolist() == [0, 1]
+    assert np.array_equal(images[1, 0] * 255, [[255, 128], [64, 0]])
+
+
+def test_csv_fault_after_a_blank_line_names_its_line(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("0,0,0,0,0\n\n1.5,0,0,0,0\n")
+    with pytest.raises(DataFormatError, match="invalid label 1.5 in row 3"):
+        load_csv(path)
 
 
 def test_csv_non_numeric_cell_names_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1,2,3,4\n1,x,2,3,4\n")
     with pytest.raises(DataFormatError, match="row 2"):
-        load_csv(path, classes=2)
+        load_csv(path)
 
 
 def test_csv_label_out_of_range(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("5,0,0,0,0\n")
-    with pytest.raises(DataFormatError, match="out of range"):
-        load_csv(path, classes=2)
+    path.write_text("0,0,0,0,0\n1e20,0,0,0,0\n")  # past int64: checked before the cast
+    with pytest.raises(DataFormatError, match="csv label 100000000000000000000 out of range: "
+                                              "dataset.classes = 2"):
+        ingest({"kind": "csv", "path": str(path), "size": 2, "classes": 2}, seed=0)
 
 
 def _write_idx_pair(tmp_path, n=6, side=4, magic_images=0x803, magic_labels=0x801):
@@ -113,7 +129,7 @@ def _write_idx_pair(tmp_path, n=6, side=4, magic_images=0x803, magic_labels=0x80
 
 def test_idx_roundtrip(tmp_path):
     img, lab, pixels, labels = _write_idx_pair(tmp_path)
-    images, got = load_idx(img, lab, classes=2)
+    images, got = load_idx(img, lab)
     assert np.array_equal(got, labels)
     assert np.allclose(images[:, 0] * 255, pixels)
 
@@ -121,7 +137,7 @@ def test_idx_roundtrip(tmp_path):
 def test_idx_bad_magic(tmp_path):
     img, lab, _, _ = _write_idx_pair(tmp_path, magic_images=0x807)
     with pytest.raises(DataFormatError, match="magic"):
-        load_idx(img, lab, classes=2)
+        load_idx(img, lab)
 
 
 def test_idx_ingest(tmp_path):
@@ -194,8 +210,15 @@ def test_csv_with_edited_cells_loads_or_raises_data_format_error(edits):
                                   "test_fraction": 0.3}, seed=1)
         except DataFormatError:
             return
-    for part in (train, test):
-        assert np.isfinite(part.inputs).all() and set(part.labels) <= {0, 1}
+    # an accepted file's examples are its rows (an emptied row is a blank line, skipped)
+    want = [(float(r[0]), np.array([float(v) for v in r[1:]]).reshape(1, 4, 4) / 255.0)
+            for r in rows if r]
+    assert _examples(train, test) == sorted((int(y), x.tobytes()) for y, x in want)
+
+
+def _examples(*parts):
+    """The (label, input bytes) pairs of the given splits, in one canonical order."""
+    return sorted((int(y), x.tobytes()) for part in parts for x, y in zip(part.inputs, part.labels))
 
 
 @given(st.sampled_from(["images", "labels"]),
@@ -204,7 +227,7 @@ def test_csv_with_edited_cells_loads_or_raises_data_format_error(edits):
 @settings(max_examples=60, deadline=None)
 def test_idx_with_an_edited_header_or_cut_short_loads_or_raises_data_format_error(which, edit):
     with tempfile.TemporaryDirectory() as tmp:
-        img, lab, _, _ = _write_idx_pair(Path(tmp), n=10)
+        img, lab, pixels, labels = _write_idx_pair(Path(tmp), n=10)
         path = img if which == "images" else lab
         raw = bytearray(path.read_bytes())
         at, value = edit
@@ -214,7 +237,9 @@ def test_idx_with_an_edited_header_or_cut_short_loads_or_raises_data_format_erro
             raw[at % (16 if which == "images" else 8)] = value
         path.write_bytes(bytes(raw))
         try:
-            ingest({"kind": "idx", "images": str(img), "labels": str(lab), "size": 4,
-                    "classes": 2, "test_fraction": 0.3}, seed=1)
+            train, test = ingest({"kind": "idx", "images": str(img), "labels": str(lab),
+                                  "size": 4, "classes": 2, "test_fraction": 0.3}, seed=1)
         except DataFormatError:
-            pass
+            return
+    want = sorted((int(y), (x[None] / 255.0).tobytes()) for x, y in zip(pixels, labels))
+    assert _examples(train, test) == want

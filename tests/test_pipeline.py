@@ -687,6 +687,23 @@ def test_cli_prune_exits_3_naming_layer_with_non_finite_scores(tmp_path, capsys)
     assert "fc2: scores or quota not finite" in err and "Traceback" not in err
 
 
+def test_cli_prune_exits_2_naming_an_all_zero_layer_before_training(tmp_path, capsys,
+                                                                   monkeypatch):
+    cfg = _write_tiny_dataset_cfg(tmp_path)
+    net = build_network("mlp-small", (1, 8, 8), 2, seed=4)
+    net.layers[1].params.values[...] = 0.0
+    save_checkpoint(tmp_path / "pretrain.npz", net, "pretrain", seed=4, config_hash="x")
+
+    def no_training(*args):
+        raise AssertionError("prune_epoch ran")
+    monkeypatch.setattr("robustprune.pipeline.prune_epoch", no_training)
+    assert cli.main(["prune", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path),
+                     "--from", str(tmp_path / "pretrain.npz"), *CLI_DATA]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer fc2: cannot initialize scores from an all-zero layer")
+    assert "Traceback" not in err
+
+
 def _blow_up_flags(tmp_path):
     """Flags of a one-epoch-per-stage mlp-small run; a stage trained at lr 1e300 ends with
     finite weights near 1e299, whose logits overflow."""
@@ -1022,6 +1039,22 @@ def _csv_with(row, col, cell):
     return make
 
 
+def _empty_csv(tmp):
+    (tmp / "rows.csv").write_text("")
+    return {"dataset.kind": "csv", "dataset.path": tmp / "rows.csv"}
+
+
+def _idx_with_label(label):
+    """Config lines for an IDX pair of 40 8x8 images whose last label is ``label``."""
+    def make(tmp):
+        images, labels = tmp / "images.idx", tmp / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 40, 8, 8) + bytes(40 * 64))
+        labels.write_bytes(struct.pack(">II", 0x801, 40) + bytes([i % 2 for i in range(39)])
+                           + bytes([label]))
+        return {"dataset.kind": "idx", "dataset.images": images, "dataset.labels": labels}
+    return make
+
+
 def _idx_claiming_2_96_pixels(tmp):
     images, labels = tmp / "images.idx", tmp / "labels.idx"
     images.write_bytes(struct.pack(">IIII", 0x803, *[0xFFFFFFFF] * 3) + bytes(64))
@@ -1052,7 +1085,15 @@ OUTSIDE_INPUT_FAULTS = {
     "csv-pixel-nan": (_csv_with(5, 3, "nan"), [], "row 6"),
     "csv-rows-of-two-sizes": (_csv_with(5, 17, None), [], "row 6"),  # 4x4 among 8x8
     "csv-bytes-not-text": (_csv_with(5, 3, "\xff"), [], "row 6"),
+    "csv-label-fractional": (_csv_with(5, 0, "1.5"), [], "row 6"),
+    "csv-row-of-a-label-only": (_csv_with(5, 1, None), [], "row 6"),
+    "csv-pixel-256": (_csv_with(5, 3, "256"), [], "row 6"),
+    "csv-empty": (_empty_csv, [], "rows.csv"),
     "idx-claims-2-96-pixels": (_idx_claiming_2_96_pixels, [], "images.idx"),
+    "idx-label-at-classes": (_idx_with_label(2), [], "dataset.classes"),
+    "arch-unknown": ({"arch": "mlp-huge"}, [], "arch"),
+    "batch-size-0": ({"batch_size": "0"}, [], "batch_size"),
+    "set-below-a-value": ({}, ["--set", "seed=1", "--set", "seed.n=2"], "seed.n"),
     # sample counts whose arrays exceed any address space, so nothing is ever filled
     "n-beyond-c-long": ({"dataset.n": "1e30"}, [], "dataset.n"),
     "n-beyond-memory": ({"dataset.n": str(10**15)}, [], "dataset.n"),
@@ -1096,6 +1137,23 @@ def test_cli_outside_input_fault_exits_2_naming_it(tmp_path, monkeypatch, capsys
     assert _run_with(tmp_path, lines, flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "adir"],
+    ["run", "--set", "dataset.kind=csv", "--set", "dataset.path=adir"],
+    ["run", "--set", "dataset.kind=idx", "--set", "dataset.images=adir",
+     "--set", "dataset.labels=adir"],
+    ["pretrain", "--out", "afile/x"],
+], ids=["config-a-directory", "csv-a-directory", "idx-a-directory", "out-below-a-file"])
+def test_cli_os_error_on_an_outside_path_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    assert cli.main([*argv, "--seed", "1", *_sets("arch=mlp-small", "dataset.size=8")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and argv[-1].rpartition("=")[2] in err
+    assert "Traceback" not in err
 
 
 def test_data_file_named_like_a_number_loads(tmp_path, monkeypatch):
