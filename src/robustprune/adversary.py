@@ -14,6 +14,7 @@ from .tensor import Tensor
 # Attacks inside evaluation draw from this dedicated stream so reported
 # accuracies are reproducible independent of training RNG consumption.
 EVAL_ATTACK_SEED = 20230817
+EVAL_BATCH = 256
 
 LOSS_KINDS = ("pgd-at", "trades")
 
@@ -153,8 +154,7 @@ class MetricRow:
 
 
 def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray,
-             attacks: list[tuple[str, AttackConfig]] | None = None,
-             batch: int = 256) -> list[MetricRow]:
+             attacks: list[tuple[str, AttackConfig]] | None = None) -> list[MetricRow]:
     """Natural plus per-attack accuracy over a full dataset, one batch loop per row.
 
     Every adversarial example is checked against the epsilon-ball and box
@@ -169,8 +169,8 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray,
     for name, cfg in [("natural", None)] + list(attacks or []):
         rng = np.random.default_rng(np.random.SeedSequence(EVAL_ATTACK_SEED))
         correct = 0
-        for i in range(0, len(inputs), batch):
-            xb, yb = inputs[i : i + batch], labels[i : i + batch]
+        for i in range(0, len(inputs), EVAL_BATCH):
+            xb, yb = inputs[i : i + EVAL_BATCH], labels[i : i + EVAL_BATCH]
             if cfg is not None:
                 x_adv = pgd(net, xb, yb, cfg, rng)
                 if not np.isfinite(x_adv).all():

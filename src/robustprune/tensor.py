@@ -66,51 +66,47 @@ class _Node:
         self.rule = rule  # rule(out_grad) -> tuple of input grads (or None)
 
 
-# Stack of tapes; ops append to the innermost one. Nodes are appended in
+# What the ops of a scope keep for their backward, narrowest first: nothing (no op
+# records), only what input gradients read (attack loops: an op recorded there never
+# computes its weight gradient, and conv2d and matmul keep no input for it), or all.
+_KEEP_NOTHING, _KEEP_INPUT_GRADS, _KEEP_ALL = range(3)
+
+# Stack of (tape, keep) scopes; ops append to the innermost tape. Nodes are appended in
 # creation order, so each tape is topologically sorted by construction.
-_TAPES: list[list[_Node]] = [[]]
-_RECORDING = [True]
+_SCOPES: list[tuple[list[_Node], int]] = [([], _KEEP_ALL)]
 
 
 @contextmanager
+def _scope(keep: int, fresh_tape: bool = False):
+    """Push a scope that keeps at most ``keep``: a scope can only narrow its outer one."""
+    tape, outer = _SCOPES[-1]
+    _SCOPES.append(([] if fresh_tape else tape, min(keep, outer)))
+    try:
+        yield
+    finally:
+        _SCOPES.pop()
+
+
 def scoped_tape():
     """Open a fresh tape; nodes recorded inside do not leak to the outer one."""
-    _TAPES.append([])
-    try:
-        yield
-    finally:
-        _TAPES.pop()
+    return _scope(_KEEP_ALL, fresh_tape=True)
 
 
-@contextmanager
 def no_grad():
     """Disable recording; forwards inside compute values only."""
-    _RECORDING.append(False)
-    try:
-        yield
-    finally:
-        _RECORDING.pop()
+    return _scope(_KEEP_NOTHING)
 
 
-# Attack loops only need gradients along the input path. An op recorded while
-# this flag is lowered skips its weight gradient wherever its backward runs;
-# conv2d then keeps no input for its backward to rebuild patches from.
-_PARAM_GRADS = [True]
-
-
-@contextmanager
 def input_grads_only():
-    _PARAM_GRADS.append(False)
-    try:
-        yield
-    finally:
-        _PARAM_GRADS.pop()
+    """Record only what input gradients need; ops recorded inside compute no weight gradient."""
+    return _scope(_KEEP_INPUT_GRADS)
 
 
 def _record(output: Tensor, inputs: tuple[Tensor, ...], rule) -> None:
-    if _RECORDING[-1]:
+    tape, keep = _SCOPES[-1]
+    if keep != _KEEP_NOTHING:
         output._from_op = True
-        _TAPES[-1].append(_Node(output, inputs, rule))
+        tape.append(_Node(output, inputs, rule))
 
 
 def backward(loss: Tensor) -> None:
@@ -123,7 +119,7 @@ def backward(loss: Tensor) -> None:
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    tape = _TAPES[-1]
+    tape = _SCOPES[-1][0]
     grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.values)}
     leaves: dict[int, Tensor] = {} if loss._from_op else {loss._key: loss}
     while tape:
@@ -199,7 +195,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.values @ b.values)
     bv = b.values if _needs_grad(a) else None  # read by da
-    av = a.values if _needs_grad(b) and _PARAM_GRADS[-1] else None  # read by db
+    av = a.values if _needs_grad(b) and _SCOPES[-1][1] == _KEEP_ALL else None  # read by db
 
     def rule(g):
         return (None if bv is None else g @ bv.T, None if av is None else av.T @ g)
@@ -272,7 +268,7 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     need_x = _needs_grad(x)
     # like matmul, the weight gradient relies on activations not being mutated between
     # forward and backward; it re-pads them there
-    x_dw = x.values if _RECORDING[-1] and _PARAM_GRADS[-1] and _needs_grad(w) else None
+    x_dw = x.values if _SCOPES[-1][1] == _KEEP_ALL and _needs_grad(w) else None
     out_vals = np.empty((batch, c_out, h_out * w_out))
     if k == 1:
         # at 1x1 the patch matrix of an example is its (c_in, h*w) view
@@ -297,16 +293,13 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
                         gmat.transpose(0, 2, 1).reshape(-1, c_out))
             dw = dw.reshape(c_in, k, k, c_out).transpose(0, 3, 1, 2)
         if need_x and k == 1:
-            # each input pixel has one patch entry: the col2im is 0.0 + that entry
-            # (so -0.0 becomes 0.0, as in the scatter)
-            dx = (wmat @ gmat).reshape(batch, c_in, h, width)
-            dx += 0.0
+            dx = (wmat @ gmat).reshape(batch, c_in, h, width)  # one patch entry per pixel
         elif need_x:
             # col2im by blocks of examples: bincount adds the patch gradients in their
             # (n, c_in, a, b, y, x) order, so each padded pixel sums in (a, b) order.
             hp, wp = h + 2 * padding, width + 2 * padding
             index = _col2im_index(c_in, hp, wp, k)
-            block = index.size // (c_in * k * k * h_out * w_out)
+            block = _block(c_in, k, h_out, w_out)
             dx = np.empty((batch, c_in, h, width))
             for s in range(0, batch, block):
                 dpatch = (wmat @ gmat[s : s + block]).ravel()

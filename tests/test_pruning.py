@@ -400,6 +400,31 @@ def test_mask_grad_is_straight_through_over_every_forward(kind, arch):
                                    atol=1e-12 * np.abs(oracle).max(), err_msg=layer.spec.name)
 
 
+@pytest.mark.parametrize("granularity", ["weight", "channel"])
+@pytest.mark.parametrize("arch", ["mlp-small", "conv-small"])
+def test_kept_mask_grads_sum_to_the_logits_euler_term_in_every_layer(arch, granularity):
+    # A bias-free relu and max-pool net without a residual add is 1-homogeneous in each
+    # layer's masked weights, so by Euler's theorem every layer's sum of dL/dm over its
+    # kept entries is the same number, <z, dL/dz> for the logits z. That share of a
+    # quota's straight-through gradient tells no layer from another.
+    net = build_network(arch, (1, 8, 8), 3, seed=5)
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0, 1, size=(16, 1, 8, 8)), rng.integers(0, 3, size=16)
+    for layer in net.layers:
+        layer.scores = Tensor(init_scores(layer.params.values, layer.spec.fan_in, granularity))
+    build_masks(net, 0.05, [0.5] * len(net.layers))
+    with T.scoped_tape():
+        z = net.forward(Tensor(x))
+        T.backward(T.softmax_cross_entropy(z, y))
+    p = np.exp(z.values - z.values.max(axis=1, keepdims=True))
+    dz = (p / p.sum(axis=1, keepdims=True) - np.eye(3)[y]) / len(y)
+    euler = float((z.values * dz).sum())
+    assert euler != 0.0
+    for layer in net.layers:
+        kept = float((layer.mask_tensor.grad * layer.broadcast_mask()).sum())
+        assert kept == pytest.approx(euler, rel=1e-10, abs=0.0), layer.spec.name
+
+
 # --- gamma schedule ---
 
 

@@ -1,6 +1,8 @@
 """Tensor engine: forward values, backward gradients vs finite differences, SGD."""
 
-from contextlib import nullcontext
+import itertools
+import weakref
+from contextlib import ExitStack, nullcontext
 
 import numpy as np
 import pytest
@@ -152,7 +154,7 @@ def test_backward_sets_grad_on_leaves_only_and_empties_the_tape():
         act = T.relu(conv)
         loss = T.tensor_sum(act)
         backward(loss)
-        assert T._TAPES[-1] == []
+        assert T._SCOPES[-1][0] == []
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
     assert conv.grad is None and act.grad is None and loss.grad is None
 
@@ -223,22 +225,27 @@ def test_conv2d_bit_exact_against_reference(x_shape, w_shape, padding):
     x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
     out_shape = (x_shape[0], w_shape[1], x_shape[2] + 2 * padding - w_shape[2] + 1,
                  x_shape[3] + 2 * padding - w_shape[2] + 1)
-    g = rng.normal(size=out_shape)
+    gs = [rng.normal(size=out_shape)]
+    if w_shape[2] == 1:
+        # an output gradient as max_pool2d's backward hands it to a conv, mostly ±0.0: a
+        # GEMM that summed zero products to -0.0 would fail the sign checks
+        gs.append(gs[0] * (rng.random(out_shape) < 0.125))
     def conv(xt, wt):
         return T.conv2d(xt, wt, padding=padding)
 
-    want = conv2d_reference(x, w, padding, g)
-    got = _run_op(conv, x, g, w)
-    for name, a, b in zip(("out", "dx", "dw"), got, want):
-        assert np.array_equal(a, b), name
-        assert _same_signs(a, b), name
-    # attack passes and no_grad forwards keep no patch matrix and multiply it by blocks
-    with T.input_grads_only():
+    for g in gs:
+        want = conv2d_reference(x, w, padding, g)
         got = _run_op(conv, x, g, w)
-    for name, a, b in zip(("input-grads-only out", "input-grads-only dx"), got, want):
-        assert np.array_equal(a, b), name
-        assert _same_signs(a, b), name
-    assert got[2] is None
+        for name, a, b in zip(("out", "dx", "dw"), got, want):
+            assert np.array_equal(a, b), name
+            assert _same_signs(a, b), name
+        # attack passes and no_grad forwards keep no patch matrix and multiply it by blocks
+        with T.input_grads_only():
+            got = _run_op(conv, x, g, w)
+        for name, a, b in zip(("input-grads-only out", "input-grads-only dx"), got, want):
+            assert np.array_equal(a, b), name
+            assert _same_signs(a, b), name
+        assert got[2] is None
     with T.no_grad():
         out = conv(Tensor(x), Tensor(w)).values
     assert np.array_equal(out, want[0]), "no-grad out"
@@ -300,6 +307,36 @@ def test_input_grads_only_applies_to_ops_recorded_inside(op, reference, x_shape,
     else:
         assert np.array_equal(wt.grad, want_dw)
         assert _same_signs(wt.grad, want_dw)
+
+
+SCOPES = {"scoped_tape": T.scoped_tape, "no_grad": T.no_grad,
+          "input_grads_only": T.input_grads_only}
+
+
+@pytest.mark.parametrize("order", [order for depth in range(4)
+                                   for order in itertools.product(SCOPES, repeat=depth)],
+                         ids=lambda order: "-".join(order) or "outermost")
+def test_nested_scopes_only_narrow_what_ops_record_and_keep(order):
+    # any no_grad stops recording; any input_grads_only (or no_grad) stops the weight
+    # gradient, and with it the input each op keeps for that gradient
+    records = "no_grad" not in order
+    weight_grads = records and "input_grads_only" not in order
+    rng = np.random.default_rng(len(order))
+    for op, x_shape, w_shape in ((lambda h, w: T.conv2d(h, w, padding=1), (2, 3, 6, 6),
+                                  (3, 4, 3, 3)), (T.matmul, (5, 6), (6, 3))):
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        with ExitStack() as scopes:
+            for name in order:
+                scopes.enter_context(SCOPES[name]())
+            h = T.scale(x, 1.0)  # an op output, so no node holds its Tensor as a leaf
+            kept = weakref.ref(h.values)
+            out = op(h, w)
+            del h
+            assert (kept() is not None) == weight_grads, "input kept"
+            backward(T.tensor_sum(out))
+        assert (x.grad is not None) == records, "recorded"
+        assert (w.grad is not None) == weight_grads, "weight gradient"
 
 
 # window 3 has an odd slot count; window 17 has 289 slots, so the winner index is uint16
