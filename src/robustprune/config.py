@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from .adversary import AttackConfig, RobustLossConfig
 from .data import DATASET_DEFAULTS
-from .network import ARCHITECTURES, _layout, build_network
+from .network import ARCHITECTURES, build_network
 from .pruning import CompressionConfig
 from .strategies import ALLOCATIONS
 
@@ -80,17 +80,19 @@ class RunConfig:
                 raise ConfigError(f"stages.{n} must be >= {least}, got {getattr(self, n)}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        kind, size = self.dataset["kind"], self.dataset["size"]
+        kind, size, classes = self.dataset["kind"], self.dataset["size"], self.dataset["classes"]
         for key in DATASET_FILES.get(kind, ()):
             if key not in self.dataset:
                 raise ConfigError(f"dataset.kind {kind} needs dataset.{key}")
         if size < 1:
             raise ConfigError(f"dataset.size must be >= 1, got {size}")
-        try:  # the architecture's own check, e.g. pooling needs divisible image sides
-            _layout(self.arch, ARCHITECTURES[self.arch], (1, size, size),
-                    self.dataset["classes"])
-        except ValueError as exc:
-            raise ConfigError(f"dataset.size {size}: {exc}") from None
+        if classes < 2:
+            raise ConfigError(f"dataset.classes must be >= 2, got {classes}")
+        try:  # the architecture's own checks (pooling needs divisible image sides) and its weights
+            net = build_network(self.arch, (1, size, size), classes)
+        except (OverflowError, ValueError, MemoryError) as exc:
+            raise ConfigError(f"dataset.size {size} and dataset.classes {classes} give no "
+                              f"{self.arch} network: {exc}") from None
         for name in OPT_NAMES:
             getattr(self, f"opt_{name}").validate(f"opt.{name}")
         comp = self.compression
@@ -99,17 +101,12 @@ class RunConfig:
             raise ConfigError(f"method {self.method} learns its rates from compression.k_init "
                               f"{comp.k_init}, which must be >= compression.k_t {comp.k_t}")
         allocate = ALLOCATIONS.get(METHODS[self.method][0])
-        if allocate is not None:  # its feasibility reads only the layer specs of a fresh network
-            k_t = self.compression.k_t
+        if allocate is not None:  # its feasibility reads only the layer specs
             try:
-                net = build_network(self.arch, (1, size, size), self.dataset["classes"])
-            except (OverflowError, ValueError, MemoryError) as exc:
-                raise ConfigError(f"dataset.size {size}: the {self.arch} weights for "
-                                  f"{size}x{size} images cannot be allocated") from exc
-            try:
-                allocate(net, k_t)
+                allocate(net, comp.k_t)
             except ValueError as exc:
-                raise ConfigError(f"method {self.method} at compression.k_t {k_t}: {exc}") from None
+                raise ConfigError(f"method {self.method} at compression.k_t {comp.k_t}: "
+                                  f"{exc}") from None
 
     def to_dict(self) -> dict:
         tree = {f.name: getattr(self, f.name) for f in fields(self)}

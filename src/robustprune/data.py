@@ -54,8 +54,6 @@ class Dataset:
 def synthetic_blobs(n: int, size: int, classes: int, noise: float,
                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Class-balanced images with one Gaussian blob whose location encodes the class."""
-    if classes < 2:
-        raise DataFormatError(f"dataset.classes must be >= 2, got {classes}")
     if n < 0 or noise < 0:
         raise DataFormatError(f"dataset.n and dataset.noise must be >= 0, got {n} and {noise}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))

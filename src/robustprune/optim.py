@@ -23,10 +23,6 @@ class SgdState:
     base: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
         self.base = self.learning_rate
 
     def set_epoch(self, epoch: int) -> float:

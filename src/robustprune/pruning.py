@@ -72,8 +72,6 @@ def _sigmoid(r: float) -> float:
 
 def g_activation(r: float, k_min: float) -> float:
     """Sigmoid squeezed into [k_min, 1]: the layer rate for a quota r."""
-    if not 0.0 < k_min < 1.0:
-        raise ValueError(f"k_min must be in (0, 1), got {k_min}")
     return (1.0 - k_min) * _sigmoid(r) + k_min
 
 
@@ -84,8 +82,6 @@ def g_derivative(r: float, k_min: float) -> float:
 
 def init_rate(k_init: float, k_min: float) -> float:
     """Quota whose activation equals k_init (inverse of g_activation)."""
-    if not k_min < k_init < 1.0:
-        raise ValueError(f"k_init must be in (k_min, 1) to invert, got {k_init} with k_min {k_min}")
     return math.log((k_init - k_min) / (1.0 - k_init))
 
 
@@ -159,8 +155,6 @@ def build_masks(net: Network, k_min: float, rates: list[float] | None = None) ->
 
 def hw_loss(current: float, full: float, k_t: float) -> float:
     """Clamped overshoot of the budget: preserved parameters or FLOPs over k_t of the full count."""
-    if full <= 0:
-        raise ValueError(f"full parameter or FLOPs count must be positive, got {full}")
     return max(current / (k_t * full) - 1.0, 0.0)
 
 

@@ -17,8 +17,6 @@ from .pruning import _install_masks, _round_half_up
 
 def uniform_strategy(net: Network, k_t: float) -> list[float]:
     """Every layer keeps the same fraction k_t."""
-    if not 0.0 < k_t <= 1.0:
-        raise ValueError(f"target rate must be in (0, 1], got {k_t}")
     return [k_t] * len(net.layers)
 
 
@@ -33,8 +31,6 @@ def erk_strategy(net: Network, k_t: float) -> list[float]:
     Layers whose scaled density exceeds 1 are capped and their surplus
     budget redistributed over the rest until everything fits.
     """
-    if not 0.0 < k_t <= 1.0:
-        raise ValueError(f"target rate must be in (0, 1], got {k_t}")
     specs = [l.spec for l in net.layers]
     sizes = np.array([s.weight_count for s in specs], dtype=np.float64)
     raw = np.array([_erk_raw(s) for s in specs])
@@ -85,8 +81,6 @@ def lamp_strategy(net: Network, k_t: float) -> list[float]:
     the budget fills in global score order (ties broken by layer then flat
     index).
     """
-    if not 0.0 < k_t <= 1.0:
-        raise ValueError(f"target rate must be in (0, 1], got {k_t}")
     budget = _round_half_up(k_t * net.total_params)
     if budget < len(net.layers):
         raise ValueError(f"budget {budget} cannot give every layer one weight")

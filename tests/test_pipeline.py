@@ -1023,20 +1023,35 @@ def _run_with(tmp, lines, flags=()):
     return cli.main(["run", "--config", str(cfg), "--out", str(tmp / "out"), *flags])
 
 
+def _csv_rows(labels=2):
+    """40 rows of ``label,pixel,...`` for 8x8 images, row i labelled i % ``labels``."""
+    rng = np.random.default_rng(4)
+    return [[str(i % labels), *map(str, rng.integers(0, 256, size=64))] for i in range(40)]
+
+
+def _csv_lines(tmp, rows):
+    """Config lines for a CSV dataset of ``rows``."""
+    path = tmp / "rows.csv"
+    path.write_bytes("".join(",".join(r) + "\n" for r in rows).encode("latin-1"))
+    return {"dataset.kind": "csv", "dataset.path": path}
+
+
 def _csv_with(row, col, cell):
-    """Config lines for a CSV dataset of 40 8x8 images whose cell (row, col) is ``cell``, or
+    """Config lines for a CSV dataset of ``_csv_rows()`` whose cell (row, col) is ``cell``, or
     whose row ``row`` is cut short at ``col`` when ``cell`` is None."""
     def make(tmp):
-        rng = np.random.default_rng(4)
-        rows = [[str(i % 2), *map(str, rng.integers(0, 256, size=64))] for i in range(40)]
+        rows = _csv_rows()
         if cell is None:
             del rows[row][col:]
         else:
             rows[row][col] = cell
-        path = tmp / "rows.csv"
-        path.write_bytes("".join(",".join(r) + "\n" for r in rows).encode("latin-1"))
-        return {"dataset.kind": "csv", "dataset.path": path}
+        return _csv_lines(tmp, rows)
     return make
+
+
+def _csv_of_classes(labels, classes):
+    """Config lines for a CSV dataset of ``_csv_rows(labels)`` with ``dataset.classes``."""
+    return lambda tmp: {**_csv_lines(tmp, _csv_rows(labels)), "dataset.classes": str(classes)}
 
 
 def _empty_csv(tmp):
@@ -1119,6 +1134,12 @@ OUTSIDE_INPUT_FAULTS = {
     "iters-0": ({"attack.iters": "0"}, [], "attack.iters"),
     "trades-beta-negative": ({"loss.kind": "trades", "loss.beta": "-1"}, [], "loss.beta"),
     "classes-1": ({"dataset.classes": "1"}, [], "dataset.classes"),
+    # one class for every dataset kind, not only synthetic: all labels 0 would read 100%
+    "csv-classes-1": (_csv_of_classes(1, 1), [], "dataset.classes"),
+    # a class count whose last layer exceeds any address space: the network is built in
+    # validation for every method, before the data is read
+    "csv-classes-1e15-harp": (_csv_of_classes(2, 10**15), [], "dataset.classes"),
+    "classes-1e15": ({"dataset.classes": str(10**15)}, [], "dataset.classes"),
     "noise-negative": ({"dataset.noise": "-1"}, [], "dataset.noise"),
     "kind-unknown": ({"dataset.kind": "png"}, [], "dataset.kind"),
     **{f"opt-{name}-{key}": ({f"opt.{name}.{key}": value}, [], f"opt.{name}.{key}")

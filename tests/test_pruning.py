@@ -92,13 +92,6 @@ def test_init_rate_zero_point():
     assert g_activation(0.0, k_min) == pytest.approx(k_init, abs=1e-12)
 
 
-def test_init_rate_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        init_rate(1.0, 0.01)
-    with pytest.raises(ValueError):
-        init_rate(0.005, 0.01)
-
-
 @given(st.floats(1e-4, 0.5), st.floats(0.01, 0.99))
 @settings(max_examples=100, deadline=None)
 def test_init_rate_roundtrip(k_min, frac):
