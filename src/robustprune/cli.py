@@ -60,20 +60,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg = _build_config(args)
-    args.out.mkdir(parents=True, exist_ok=True)
     train, _ = ingest(cfg.dataset, cfg.seed)
+    args.out.mkdir(parents=True, exist_ok=True)
     stage_pretrain(cfg, train, args.out)
     print(f"pretrain checkpoint written to {args.out / 'pretrain.npz'}")
     return EXIT_OK
 
 
 def _from_checkpoint(args):
-    """The prelude of prune, finetune and eval: config, output directory, the
-    checkpoint's network (checked against the config) and the data."""
+    """The prelude of prune, finetune and eval: config, the checkpoint's network (checked
+    against the config), the data, and then the output directory."""
     cfg = _build_config(args)
-    args.out.mkdir(parents=True, exist_ok=True)
     net = _load_compatible(cfg, args.from_ckpt)
     train, test = ingest(cfg.dataset, cfg.seed)
+    args.out.mkdir(parents=True, exist_ok=True)
     return cfg, net, train, test
 
 

@@ -80,8 +80,9 @@ class PrunableLayer:
             return values
         return values.reshape(self.spec.c_i, -1).sum(axis=1)
 
-    def preserved_count(self) -> int:
-        return int(np.count_nonzero(self.params.values * self.broadcast_mask()))
+    def masked_weights(self) -> np.ndarray:
+        """theta * mask, the weights the forward pass multiplies by."""
+        return self.params.values * self.broadcast_mask()
 
 
 # Markers between the prunable layers of a step list.
@@ -210,7 +211,7 @@ def build_network(arch: str, input_shape, classes: int, seed: int = 0) -> Networ
 
 def count_preserved(net: Network) -> tuple[int, list[int]]:
     """Non-zero weights in theta * mask, total and per layer."""
-    per_layer = [l.preserved_count() for l in net.layers]
+    per_layer = [int(np.count_nonzero(l.masked_weights())) for l in net.layers]
     return sum(per_layer), per_layer
 
 
@@ -224,8 +225,7 @@ def flops(net: Network, masks: list[np.ndarray] | None = None) -> tuple[float, l
     """
     per_layer = []
     for i, layer in enumerate(net.layers):
-        m = layer.broadcast_mask() if masks is None else masks[i]
-        alive = (layer.params.values * m) != 0
+        alive = (layer.masked_weights() if masks is None else layer.params.values * masks[i]) != 0
         reduce_axes = tuple(range(1, alive.ndim))
         ci = int(np.any(alive, axis=reduce_axes).sum())
         co = int(np.any(alive, axis=(0,) + tuple(range(2, alive.ndim))).sum())

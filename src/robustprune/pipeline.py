@@ -60,8 +60,7 @@ def _train_theta(net: Network, cfg: RunConfig, train: Dataset, epochs: int,
             sgd_step(opt, params)
     log_bound = 0.0  # NaN when a weight is not finite
     for layer in net.layers:
-        theta_hat = layer.params.values * layer.broadcast_mask()
-        log_bound += math.log1p(layer.spec.fan_in * float(np.abs(theta_hat).max()))
+        log_bound += math.log1p(layer.spec.fan_in * float(np.abs(layer.masked_weights()).max()))
     if not log_bound < math.log(1e300):
         raise DivergenceError(f"{stage}: trained weights not finite or can overflow the logits "
                               f"(logit bound e^{log_bound:.1f})")
@@ -189,9 +188,9 @@ def default_eval_attacks(train_attack: AttackConfig) -> list[tuple[str, AttackCo
 
 def run_all(cfg: RunConfig, outdir: Path) -> list[MetricRow]:
     """pretrain -> prune -> finetune -> evaluate; writes all artifacts."""
+    train, test = ingest(cfg.dataset, cfg.seed)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    train, test = ingest(cfg.dataset, cfg.seed)
     net = stage_pretrain(cfg, train, outdir)
     net, _ = stage_prune(cfg, net, train, outdir)
     net = stage_finetune(cfg, net, train, outdir)
@@ -228,7 +227,7 @@ def write_reports(outdir: Path, cfg: RunConfig, net: Network, test: Dataset) -> 
     histograms = []  # 20 bins per layer that keeps a weight, over its kept theta * mask values
     for layer, k in zip(net.layers, kept):
         if k:
-            masked = layer.params.values * layer.broadcast_mask()
+            masked = layer.masked_weights()
             counts, edges = np.histogram(masked[masked != 0], bins=20)
             histograms += [[layer.spec.name, f"{lo:.8f}", f"{hi:.8f}", int(c)]
                            for c, lo, hi in zip(counts, edges[:-1], edges[1:])]
@@ -254,9 +253,9 @@ def sweep(base_cfg: RunConfig, k_values: list[float], methods: list[str],
                 written[output] = f"{method} at k_t {k_t!r}"
     cells = [(method, k_t, _with(base_cfg, method=method, k_t=k_t))
              for method in methods for k_t in k_values]  # every cell's config checked first
+    train, test = ingest(base_cfg.dataset, base_cfg.seed)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    train, test = ingest(base_cfg.dataset, base_cfg.seed)
     stage_pretrain(base_cfg, train, outdir)
     pretrained = load_checkpoint(outdir / "pretrain.npz")
     rows_out = []

@@ -127,8 +127,18 @@ def top_fraction_mask(scores: np.ndarray, rate: float) -> np.ndarray:
     return mask.reshape(np.asarray(scores).shape)
 
 
-def _install_masks(net: Network, rates: list[float], scores: list[np.ndarray]) -> None:
-    """Mask every layer to the top ``rate`` fraction of its ``scores`` by magnitude."""
+def apply_strategy(net: Network, rates: list[float],
+                   scores: list[np.ndarray] | None = None) -> None:
+    """Install percentile masks at fixed per-layer rates, each keeping the top ``rate``
+    fraction of its layer's ``scores`` by magnitude; weights untouched. ``scores`` default
+    to the layers' score tensors; pass the weights for magnitude pruning."""
+    if len(rates) != len(net.layers):
+        raise ValueError(f"{len(rates)} rates for {len(net.layers)} layers")
+    if scores is None:
+        for layer in net.layers:
+            if layer.scores is None:
+                raise ValueError(f"{layer.spec.name}: no scores available to rank connections")
+        scores = [l.scores.values for l in net.layers]
     for layer, rate, s in zip(net.layers, rates, scores):
         layer.set_mask(top_fraction_mask(np.abs(s), rate))
 
@@ -145,7 +155,7 @@ def build_masks(net: Network, k_min: float, rates: list[float] | None = None) ->
             raise DivergenceError(f"{layer.spec.name}: scores or quota not finite")
     if rates is None:
         rates = [g_activation(float(l.quota.values), k_min) for l in net.layers]
-    _install_masks(net, rates, [l.scores.values for l in net.layers])
+    apply_strategy(net, rates)
     return rates
 
 

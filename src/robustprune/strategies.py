@@ -3,8 +3,9 @@
 A strategy is a list of per-layer rates in ``net.layers`` order. Uniform,
 ERK-style density allocation, and LAMP-style global ranking are the fixed
 rate sources of ``config.METHODS``: the prune stage computes one once at k_t
-and rebuilds every mask at its rates. ``apply_strategy`` installs percentile
-masks at any strategy's rates.
+and rebuilds every mask at its rates. ``apply_strategy``, which installs
+percentile masks at any strategy's rates, lives beside ``build_masks`` in
+``pruning`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .network import Network
-from .pruning import _install_masks, _round_half_up
+from .pruning import _round_half_up, apply_strategy  # noqa: F401 (re-exported)
 
 
 def uniform_strategy(net: Network, k_t: float) -> list[float]:
@@ -101,19 +102,3 @@ def lamp_strategy(net: Network, k_t: float) -> list[float]:
 
 # The fixed rate sources a method can name in config.METHODS.
 ALLOCATIONS = {"uniform": uniform_strategy, "erk": erk_strategy, "lamp": lamp_strategy}
-
-
-def apply_strategy(net: Network, rates: list[float],
-                   scores: list[np.ndarray] | None = None) -> None:
-    """Install percentile masks at fixed per-layer rates; weights untouched.
-
-    ``scores`` defaults to each layer's score tensor; pass the weights for magnitude pruning.
-    """
-    if len(rates) != len(net.layers):
-        raise ValueError(f"{len(rates)} rates for {len(net.layers)} layers")
-    if scores is None:
-        for layer in net.layers:
-            if layer.scores is None:
-                raise ValueError(f"{layer.spec.name}: no scores available to rank connections")
-        scores = [l.scores.values for l in net.layers]
-    _install_masks(net, rates, scores)

@@ -213,23 +213,21 @@ def _block(c_in: int, k: int, h_out: int, w_out: int) -> int:
     return max(1, _COL2IM_ENTRIES // (c_in * k * k * h_out * w_out))
 
 
-def _columns(windows: np.ndarray) -> np.ndarray:
-    """Patch matrix (c_in * k*k, n, h_out*w_out) of a (n, c_in, h_out, w_out, k, k) window
-    view; rows enumerate (c_in, a, b). dw takes it whole as one 2d operand; each example's
-    slice still suits BLAS (strided rows)."""
-    n, _, h_out, w_out = windows.shape[:4]
-    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(-1, n, h_out * w_out)
-
-
-def _windows(x: np.ndarray, k: int, padding: int) -> np.ndarray:
-    """(n, c_in, h_out, w_out, k, k) sliding-window view of x, zero-padded by one slice
-    assignment into a fresh buffer; a view of x itself when padding is 0."""
-    if padding:
-        batch, c_in, h, width = x.shape
-        xp = np.zeros((batch, c_in, h + 2 * padding, width + 2 * padding))
-        xp[:, :, padding : padding + h, padding : padding + width] = x
-        x = xp
-    return np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+def _columns(x: np.ndarray, k: int, padding: int) -> np.ndarray:
+    """Patch matrix (c_in * k*k, n, h_out*w_out) of x zero-padded by ``padding``, rows in
+    (c_in, a, b) order: one slice copy of the unpadded x per kernel offset (a, b), border
+    entries left zero. dw takes it whole as one 2d operand; each example's slice suits BLAS."""
+    n, c_in, h, width = x.shape
+    h_out, w_out = h + 2 * padding - k + 1, width + 2 * padding - k + 1
+    cols = np.zeros((c_in, k, k, n, h_out, w_out))
+    src = x.transpose(1, 0, 2, 3)
+    for a, b in itertools.product(range(k), repeat=2):
+        y0, y1 = max(0, padding - a), min(h_out, h + padding - a)
+        x0, x1 = max(0, padding - b), min(w_out, width + padding - b)
+        if y0 < y1 and x0 < x1:
+            cols[:, a, b, :, y0:y1, x0:x1] = src[:, :, y0 + a - padding : y1 + a - padding,
+                                                 x0 + b - padding : x1 + b - padding]
+    return cols.reshape(c_in * k * k, n, h_out * w_out)
 
 
 def _col2im_index(c_in: int, hp: int, wp: int, k: int) -> np.ndarray:
@@ -267,7 +265,7 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     wmat = w.values.transpose(0, 2, 3, 1).reshape(c_in * k * k, c_out)
     need_x = _needs_grad(x)
     # like matmul, the weight gradient relies on activations not being mutated between
-    # forward and backward; it re-pads them there
+    # forward and backward; it rebuilds their patch matrix there
     x_dw = x.values if _SCOPES[-1][1] == _KEEP_ALL and _needs_grad(w) else None
     out_vals = np.empty((batch, c_out, h_out * w_out))
     if k == 1:
@@ -276,10 +274,9 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     else:
         # no patch matrix outlives the forward: build and multiply it by blocks of
         # examples; each example gets the same BLAS call as in a whole-batch product
-        windows = _windows(x.values, k, padding)
         block = _block(c_in, k, h_out, w_out)
         for s in range(0, batch, block):
-            np.matmul(wmat.T, _columns(windows[s : s + block]).transpose(1, 0, 2),
+            np.matmul(wmat.T, _columns(x.values[s : s + block], k, padding).transpose(1, 0, 2),
                       out=out_vals[s : s + block])
     out = Tensor(out_vals.reshape(batch, c_out, h_out, w_out))
 
@@ -289,7 +286,7 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
         if x_dw is not None:
             # one dot of the rebuilt patch matrix: the call np.tensordot makes, so the
             # bits match it, without tensordot's transposed copy of the patches
-            dw = np.dot(_columns(_windows(x_dw, k, padding)).reshape(c_in * k * k, -1),
+            dw = np.dot(_columns(x_dw, k, padding).reshape(c_in * k * k, -1),
                         gmat.transpose(0, 2, 1).reshape(-1, c_out))
             dw = dw.reshape(c_in, k, k, c_out).transpose(0, 3, 1, 2)
         if need_x and k == 1:

@@ -114,9 +114,11 @@ def _poisoned(key, value):
         "nan-weight", "inf-mask", "inf-scores", "nan-quota", "half-mask"])
 def test_cli_rejects_malformed_checkpoint(tmp_path, capsys, change, named):
     path = _doctored(tmp_path, change)
-    assert cli.main(["eval", "--seed", "1", "--from", str(path), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--seed", "1", "--from", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    assert not out.exists()
 
 
 EVAL_ARGV = ["eval", "--seed", "1", "--set", "arch=mlp-small", "--set", "attack.iters=1"]
@@ -173,6 +175,7 @@ def test_cli_rejects_unreadable_checkpoint_without_traceback(tmp_path, capsys, m
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # the keys save_checkpoint writes, plus one it does not

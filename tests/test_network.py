@@ -243,8 +243,19 @@ def test_count_preserved_channel_mask_broadcast():
     spec = LayerSpec("toy", "conv", 4, 8, kernel=3, spatial_out=4)
     toy = PrunableLayer(spec, Tensor(np.random.default_rng(0).normal(size=spec.weight_shape)))
     toy.set_mask(np.array([1.0, 0.0, 1.0, 0.0]))
-    assert toy.preserved_count() == 144
-    assert toy.preserved_count() == brute_force_preserved(toy.params.values, toy.mask)
+    preserved = int(np.count_nonzero(toy.masked_weights()))
+    assert preserved == 144
+    assert preserved == brute_force_preserved(toy.params.values, toy.mask)
+
+
+@pytest.mark.parametrize("mask", [np.array([1.0, 0.0, 1.0, 1.0]),
+                                  (np.arange(4 * 8 * 9).reshape(4, 8, 3, 3) % 3 > 0) * 1.0],
+                         ids=["channel", "weight"])
+def test_masked_weights_is_theta_times_the_broadcast_mask(mask):
+    spec = LayerSpec("toy", "conv", 4, 8, kernel=3, spatial_out=4)
+    toy = PrunableLayer(spec, Tensor(np.random.default_rng(1).normal(size=spec.weight_shape)))
+    toy.set_mask(mask)
+    assert np.array_equal(toy.masked_weights(), toy.params.values * toy.broadcast_mask())
 
 
 def test_count_preserved_matches_brute_force_randomized():

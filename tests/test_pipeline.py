@@ -321,13 +321,14 @@ def test_channel_prune_ties_shortcut_quota(tmp_path, monkeypatch):
     net = stage_pretrain(cfg, train)
     names = [l.spec.name for l in net.layers]
     installed = []
-    install = pruning._install_masks
+    build = pruning.build_masks
 
-    def recording_install(net, rates, scores):
+    def recording_build(net, k_min, rates=None):
+        rates = build(net, k_min, rates)
         installed.append(dict(zip(names, rates)))
-        install(net, rates, scores)
+        return rates
 
-    monkeypatch.setattr(pruning, "_install_masks", recording_install)
+    monkeypatch.setattr(pruning, "build_masks", recording_build)
     net, history = stage_prune(cfg, net, train, tmp_path)
     assert len(installed) > 2 * cfg.prune_epochs
     assert {r["block.conv_a"] == r["block.shortcut"] for r in installed} == {True}
@@ -1158,6 +1159,20 @@ def test_cli_outside_input_fault_exits_2_naming_it(tmp_path, monkeypatch, capsys
     assert _run_with(tmp_path, lines, flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "sweep", "prune", "eval"])
+def test_cli_data_fault_leaves_no_out_directory(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    save_checkpoint(tmp_path / "c.npz", build_network("mlp-small", (1, 8, 8), 2, seed=1),
+                    "pretrain", seed=1, config_hash="x")
+    (tmp_path / "rows.csv").write_text("")
+    from_ckpt = ["--from", "c.npz"] if command in ("prune", "eval") else []
+    assert cli.main([command, "--seed", "1", "--out", "out", *from_ckpt,
+                     *_sets("arch=mlp-small", "dataset.size=8", "dataset.kind=csv",
+                            "dataset.path=rows.csv")]) == 2
+    assert "rows.csv" in capsys.readouterr().err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,6 +15,7 @@ from robustprune.network import LayerSpec, Network, PrunableLayer, build_network
 from robustprune.pipeline import stage_prune
 from robustprune.pruning import (
     CompressionConfig,
+    apply_strategy,
     build_masks,
     g_activation,
     g_derivative,
@@ -261,6 +262,21 @@ def test_build_masks_thousand_weight_floor_example():
     # k = k_min = 0.01 on a 1000-weight layer keeps exactly 10
     scores = np.random.default_rng(0).normal(size=1000)
     assert top_fraction_mask(scores, 0.01).sum() == 10
+
+
+@pytest.mark.parametrize("granularity", ["weight", "channel"])
+def test_build_masks_at_fixed_rates_installs_the_masks_apply_strategy_does(granularity):
+    net = build_network("conv-small", (1, 8, 8), 2, seed=5)
+    for layer in net.layers:
+        layer.scores = Tensor(init_scores(layer.params.values, layer.spec.fan_in, granularity))
+    rates = [0.7, 0.3, 0.5, 0.2, 0.9]
+    assert build_masks(net, 0.01, rates) == rates
+    built = [l.mask for l in net.layers]
+    for layer in net.layers:
+        layer.set_mask(np.ones(layer.spec.weight_shape))
+    apply_strategy(net, rates)
+    for mask, layer in zip(built, net.layers):
+        assert mask.shape == layer.mask.shape and np.array_equal(mask, layer.mask), layer.spec.name
 
 
 # --- budget loss ---

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from robustprune import pruning, strategies
 from robustprune.adversary import MetricRow
 from robustprune.config import RunConfig
 from robustprune.network import LayerSpec, PrunableLayer, Network, build_network, flops
@@ -259,6 +260,10 @@ def test_erk_budget_conservation():
 
 
 # --- apply_strategy ---
+
+
+def test_apply_strategy_is_the_pruning_mask_installer():
+    assert strategies.apply_strategy is pruning.apply_strategy
 
 
 def test_apply_rates_one_gives_all_ones():
