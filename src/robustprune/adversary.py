@@ -29,7 +29,7 @@ class AttackConfig:
     step_size: float
     iters: int = 10
     random_init: bool = True
-    bounds: tuple[float, float] = (0.0, 1.0)
+    bounds = (0.0, 1.0)  # the input box: a class constant, not a field or config key
 
     def __post_init__(self):
         if self.epsilon < 0:

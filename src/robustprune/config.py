@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from .adversary import AttackConfig, RobustLossConfig
 from .data import DATASET_DEFAULTS
@@ -109,12 +109,9 @@ class RunConfig:
                                   f"{exc}") from None
 
     def to_dict(self) -> dict:
-        tree = {f.name: getattr(self, f.name) for f in fields(self)}
-        tree["dataset"] = dict(self.dataset)
+        tree = asdict(self)
         tree["stages"] = {k: tree.pop(k) for k in STAGE_KEYS}
-        for name in ("compression", "attack", "loss"):
-            tree[name] = _section(tree[name])
-        tree["opt"] = {n: _section(tree.pop(f"opt_{n}")) for n in OPT_NAMES}
+        tree["opt"] = {n: tree.pop(f"opt_{n}") for n in OPT_NAMES}
         return tree
 
     def config_hash(self) -> str:
@@ -176,12 +173,6 @@ def config_from_dict(tree: dict, seed: int | None = None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     cfg.validate()
     return cfg
-
-
-def _section(obj) -> dict:
-    """The config keys of a dataclass: its scalar fields (attack bounds are fixed)."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)
-            if isinstance(getattr(obj, f.name), (bool, int, float, str))}
 
 
 def _merge(defaults: dict, tree: dict, prefix: str) -> dict:

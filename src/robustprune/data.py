@@ -41,11 +41,9 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def batches(self, batch_size: int, rng: np.random.Generator | None = None):
-        """Yield (inputs, labels) batches, shuffled when an RNG is given."""
-        idx = np.arange(len(self))
-        if rng is not None:
-            rng.shuffle(idx)
+    def batches(self, batch_size: int, rng: np.random.Generator):
+        """Yield (inputs, labels) batches in an order shuffled by ``rng``."""
+        idx = rng.permutation(len(self))
         for i in range(0, len(idx), batch_size):
             sel = idx[i : i + batch_size]
             yield self.inputs[sel], self.labels[sel]

@@ -19,7 +19,7 @@ class SgdState:
     momentum: float = 0.0
     weight_decay: float = 0.0
     epochs: int = 0
-    velocity: list[np.ndarray] = field(default_factory=list)
+    velocity: list[np.ndarray] = field(default_factory=list, init=False)
     base: float = field(init=False)
 
     def __post_init__(self):

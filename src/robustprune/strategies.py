@@ -38,7 +38,7 @@ def erk_strategy(net: Network, k_t: float) -> list[float]:
     budget = k_t * net.total_params
     density = np.zeros(len(specs))
     capped = np.zeros(len(specs), dtype=bool)
-    for _ in range(len(specs) + 1):
+    while True:  # each pass caps at least one more layer, or stops
         free = ~capped
         remaining = budget - sizes[capped].sum()
         if remaining < 0 or not free.any():
@@ -50,8 +50,6 @@ def erk_strategy(net: Network, k_t: float) -> list[float]:
         if not over.any():
             break
         capped |= over
-    else:
-        raise ValueError("ERK redistribution failed to settle")
     return [float(d) for d in density]
 
 

@@ -52,6 +52,12 @@ def test_attack_config_invariants():
         AttackConfig(epsilon=0.03, step_size=0.01, iters=0)
 
 
+def test_attack_bounds_are_the_unit_box_and_not_an_argument():
+    assert AttackConfig(0.1, 0.01).bounds == (0.0, 1.0)
+    with pytest.raises(TypeError):
+        AttackConfig(0.1, 0.01, 1, True, (0.0, 2.0))
+
+
 def test_fgsm_zero_budget_is_identity(toy_net, batch):
     # at budget 0 evaluation has no fgsm row; the one pgd step it would take is the identity
     x, y = batch

@@ -8,12 +8,15 @@ under the repository.
 """
 
 import json
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from robustprune import adversary
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -36,3 +39,10 @@ def test_traced_benchmark_workload_runs_and_passes_its_checks(workload, tmp_path
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stdout
     assert result["failed"] == 0
+
+
+def test_bench_eval_batch_matches_evaluate():
+    # the bench rebuilds evaluate's batches with its own copy of the constant; its smoke
+    # runs evaluate one batch, so a mismatch would not show in the run above
+    text = (ROOT / "perfbench" / "bench.py").read_text()
+    assert re.findall(r"^EVAL_BATCH = (\d+)", text, re.M) == [str(adversary.EVAL_BATCH)]

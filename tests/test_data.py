@@ -160,7 +160,7 @@ def test_dataset_validates_range():
 def test_batches_cover_everything():
     train, _ = ingest({"kind": "synthetic", "n": 100, "size": 8, "classes": 2}, seed=9)
     seen = 0
-    for x, y in train.batches(32):
+    for x, y in train.batches(32, np.random.default_rng(0)):
         assert len(x) == len(y)
         seen += len(y)
     assert seen == len(train)

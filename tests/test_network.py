@@ -203,13 +203,7 @@ def test_masked_forward_equivalence_oracle(arch, granularity):
     # masked forward must be bit-identical to overwriting theta <- theta*mask
     rng = np.random.default_rng(7)
     net = build_network(arch, (1, 16, 16), 2, seed=7)
-    for layer in net.layers:
-        if granularity == "weight":
-            layer.set_mask((rng.uniform(size=layer.spec.weight_shape) > 0.3).astype(float))
-        else:
-            m = (rng.uniform(size=layer.spec.c_i) > 0.3).astype(float)
-            m[0] = 1.0  # keep at least one channel alive
-            layer.set_mask(m)
+    _random_masks(net, granularity, rng)
     x = _input(rng)
     with T.no_grad():
         masked = net.forward(x).values
@@ -219,6 +213,35 @@ def test_masked_forward_equivalence_oracle(arch, granularity):
     with T.no_grad():
         overwritten = net.forward(x).values
     assert np.array_equal(masked, overwritten)
+
+
+@pytest.mark.parametrize("granularity", ["weight", "channel"])
+@pytest.mark.parametrize("arch", ["mlp-small", "conv-small", "resnet-tiny"])
+def test_logits_do_not_depend_on_what_the_tape_records(arch, granularity):
+    # a natural forward may share its logits between evaluation (no_grad), the attack
+    # (input_grads_only) and training (full tape) only if all three are bit-identical
+    rng = np.random.default_rng(9)
+    net = build_network(arch, (1, 16, 16), 3, seed=9)
+    _random_masks(net, granularity, rng)
+    x = rng.uniform(0, 1, size=(6, 1, 16, 16))
+    with T.no_grad():
+        untraced = net.forward(Tensor(x)).values
+    with T.scoped_tape(), T.input_grads_only():
+        input_grads = net.forward(Tensor(x, requires_grad=True)).values
+    with T.scoped_tape():
+        full = net.forward(Tensor(x)).values
+    assert np.array_equal(untraced, input_grads) and np.array_equal(untraced, full)
+
+
+def _random_masks(net, granularity, rng):
+    """Install a random {0,1} mask on every layer, weight-shaped or one entry per channel."""
+    for layer in net.layers:
+        if granularity == "weight":
+            layer.set_mask((rng.uniform(size=layer.spec.weight_shape) > 0.3).astype(float))
+        else:
+            m = (rng.uniform(size=layer.spec.c_i) > 0.3).astype(float)
+            m[0] = 1.0  # keep at least one channel alive
+            layer.set_mask(m)
 
 
 def test_count_preserved_all_ones():

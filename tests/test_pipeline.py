@@ -249,7 +249,7 @@ def test_prune_diverges_on_first_nonfinite_batch_without_update():
     served = []
 
     def batches():
-        for b in train.batches(32):
+        for b in train.batches(32, np.random.default_rng(0)):
             served.append(len(b[1]))
             yield b
 
@@ -392,6 +392,30 @@ def test_config_hash_golden():
     assert config_from_dict({"seed": 1}).config_hash() == "592801be310bfeea"
     cfg = tiny_cfg(seed=4)
     assert config_from_dict(cfg.to_dict()).config_hash() == cfg.config_hash()
+
+
+def test_config_tree_is_every_setting_grouped_by_section():
+    cfg = RunConfig(seed=3)
+    tree = cfg.to_dict()
+    expected = {
+        "seed": 3, "arch": "conv-small", "method": "harp",
+        "dataset": {"kind": "synthetic", "n": 2000, "size": 16, "classes": 2, "noise": 0.15,
+                    "test_fraction": 0.2},
+        "batch_size": 128,
+        "compression": {"k_t": 0.1, "k_init": 0.1, "gamma_step": 0.01, "granularity": "weight",
+                        "budget": "param-count"},
+        "attack": {"epsilon": 8 / 255, "step_size": 2 / 255, "iters": 10, "random_init": True},
+        "loss": {"kind": "pgd-at", "beta": 6.0},
+        "stages": {"pretrain_epochs": 30, "prune_epochs": 20, "finetune_epochs": 100},
+        "opt": {"pretrain": {"lr": 0.1, "momentum": 0.9, "weight_decay": 0.0005},
+                "finetune": {"lr": 0.1, "momentum": 0.9, "weight_decay": 0.0005},
+                "scores": {"lr": 0.02, "momentum": 0.9, "weight_decay": 0.0},
+                "rates": {"lr": 0.5, "momentum": 0.9, "weight_decay": 0.0}},
+    }
+    assert tree == expected
+    assert repr(tree) == repr(expected)  # key order too
+    tree["dataset"]["n"] = 1  # the tree is a copy
+    assert cfg.dataset["n"] == 2000
 
 
 @pytest.mark.parametrize("tree, key", [

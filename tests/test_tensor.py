@@ -468,6 +468,11 @@ def test_sgd_missing_grad_raises():
         sgd_step(SgdState(learning_rate=0.1), [p])
 
 
+def test_sgd_velocity_is_state_not_an_argument():
+    with pytest.raises(TypeError):
+        SgdState(0.1, velocity=[])
+
+
 def test_sgd_momentum_accumulates():
     p = Tensor(np.array([0.0]), requires_grad=True)
     state = SgdState(learning_rate=1.0, momentum=0.5)
